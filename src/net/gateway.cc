@@ -502,11 +502,13 @@ QumaGateway::queueError(Conn &conn, std::uint64_t rid,
                         std::uint16_t version, WireErrorCode code,
                         const std::string &message)
 {
+    // Counters lead the replies that reveal them: a client that has
+    // read the error must find it counted.
+    errorsReturned.fetch_add(1, std::memory_order_relaxed);
     Writer w;
     encodeErrorFrame(w, {code, message});
     conn.outbox.push(
         sealFrame(MsgType::ErrorReply, rid, w, version));
-    errorsReturned.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -621,8 +623,8 @@ QumaGateway::serveClientFrame(Conn &conn)
             StatsFrame fleet = fleetStats(std::chrono::milliseconds(0));
             Writer w;
             encodeStatsFrame(w, fleet);
-            queueFrame(conn, MsgType::StatsReply, rid, version, w);
             statsServed.fetch_add(1, std::memory_order_relaxed);
+            queueFrame(conn, MsgType::StatsReply, rid, version, w);
             return true;
         }
         case MsgType::ClockSyncRequest: {
@@ -755,12 +757,12 @@ QumaGateway::forwardSubmit(Conn &conn, std::uint16_t version,
             // The backend's own admission would soft-reject; shed
             // here and save the round trip.
             releaseFlowSlot(conn);
+            jobsShed.fetch_add(1, std::memory_order_relaxed);
             Writer w;
             w.boolean(false);
             w.u64(0);
             queueFrame(conn, MsgType::TrySubmitReply, client_rid,
                        version, w);
-            jobsShed.fetch_add(1, std::memory_order_relaxed);
             return;
         }
         std::shared_ptr<BackendLink> link;
@@ -799,12 +801,12 @@ QumaGateway::forwardSubmit(Conn &conn, std::uint16_t version,
     // Nothing healthy to route to.
     releaseFlowSlot(conn);
     if (type == MsgType::TrySubmitRequest) {
+        jobsShed.fetch_add(1, std::memory_order_relaxed);
         Writer w;
         w.boolean(false);
         w.u64(0);
         queueFrame(conn, MsgType::TrySubmitReply, client_rid, version,
                    w);
-        jobsShed.fetch_add(1, std::memory_order_relaxed);
     } else {
         queueError(conn, client_rid, version, WireErrorCode::Internal,
                    "no healthy backend");
@@ -953,10 +955,10 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
             pf.job = p.gwJobId;
             Writer w;
             encodeProgressFrame(w, pf);
-            conn.outbox.push(sealFrame(MsgType::ProgressFrame,
-                                       p.clientRid, w, p.version));
             progressForwarded.fetch_add(1,
                                         std::memory_order_relaxed);
+            conn.outbox.push(sealFrame(MsgType::ProgressFrame,
+                                       p.clientRid, w, p.version));
             return;
         }
         auto node = conn.pending.extract(fh.requestId);
@@ -973,6 +975,8 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
         case MsgType::SubmitRequest:
         case MsgType::TrySubmitRequest: {
             if (isError) {
+                errorsReturned.fetch_add(1,
+                                         std::memory_order_relaxed);
                 if (p.internal) {
                     // The failover resubmission itself was refused:
                     // the job is lost; its awaiting client learns
@@ -991,8 +995,6 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
                                              p.clientRid, payload,
                                              p.version));
                 }
-                errorsReturned.fetch_add(1,
-                                         std::memory_order_relaxed);
                 break;
             }
             bool accepted = true;

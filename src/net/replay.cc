@@ -95,7 +95,10 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
 
     // Pass 1 -- index the CAPTURED replies: every reply by its
     // requestId, and the submit correlation oldId -> submit rid that
-    // the id remapping pivots on.
+    // the id remapping pivots on. Pushed ProgressFrames share the
+    // await's requestId and precede its AwaitReply, so replies are
+    // indexed without them (on the live side too): a rid's reply is
+    // the one frame that answers the request.
     std::unordered_map<std::uint64_t,
                        std::pair<MsgType, std::vector<std::uint8_t>>>
         captured;
@@ -104,8 +107,8 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
         if (f.inbound)
             continue;
         std::optional<SplitFrame> sf = splitFrame(f.frame);
-        if (!sf)
-            continue; // torn/foreign outbound record: not comparable
+        if (!sf || sf->header.type == MsgType::ProgressFrame)
+            continue; // torn/foreign record, or a push: not a reply
         const std::uint64_t rid = sf->header.requestId;
         if (sf->header.type == MsgType::SubmitReply &&
             sf->payload.size() == 8) {
@@ -154,6 +157,8 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
                 if (fh.length > 0 &&
                     !stream->recvAll(payload.data(), payload.size()))
                     break;
+                if (fh.type == MsgType::ProgressFrame)
+                    continue; // a push, not the await's reply
                 {
                     std::lock_guard<std::mutex> lock(router.mu);
                     router.replies[fh.requestId] = {fh.type,

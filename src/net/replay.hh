@@ -25,7 +25,10 @@
  * JobResults, which determinism pins exactly. Status/Poll replies are
  * snapshots of a race (Queued vs Running vs Done depends on timing)
  * and Stats replies aggregate load -- both are re-driven but not
- * diffed. Submit/TrySubmit replies feed the id map. A request whose
+ * diffed. Submit/TrySubmit replies feed the id map. Pushed
+ * ProgressFrames ride the await's requestId ahead of its AwaitReply
+ * and report rate-limited timing, so both sides drop them before
+ * indexing: each requestId maps to its one reply. A request whose
  * captured reply was an ErrorReply expects an ErrorReply back (same
  * code class is not enforced -- error strings may differ).
  */

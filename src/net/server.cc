@@ -28,7 +28,8 @@ struct ConnectionLost
 // --- Outbox -----------------------------------------------------------------
 
 bool
-QumaServer::Outbox::push(OutFrame entry)
+QumaServer::Outbox::push(OutFrame entry,
+                         std::atomic<std::size_t> *accepted)
 {
     {
         std::lock_guard<std::mutex> lock(mu);
@@ -44,6 +45,8 @@ QumaServer::Outbox::push(OutFrame entry)
             cv.notify_all();
             return false;
         }
+        if (accepted)
+            accepted->fetch_add(1, std::memory_order_relaxed);
         frames.push_back(std::move(entry));
     }
     // notify_all: the cv is shared by the writer's pop AND a
@@ -743,9 +746,9 @@ QumaServer::dispatchRequest(ByteStream &stream,
             if (state->peerVersion.load(std::memory_order_relaxed) >=
                 4) {
                 // v4 peers also get rate-limited progress pushes
-                // under the await's requestId. Best-effort by
-                // contract (an already-finished job simply gets
-                // none), and sealed frames -- not deferred entries
+                // under the await's requestId, ending at done ==
+                // total (an already-finished job gets just that
+                // frame), as sealed frames -- not deferred entries
                 // -- because a progress payload is three u64s:
                 // encoding on the notifier thread is cheaper than a
                 // writer-side deferral round trip.
@@ -759,15 +762,13 @@ QumaServer::dispatchRequest(ByteStream &stream,
                         Writer w;
                         encodeProgressFrame(
                             w, ProgressFrameData{job, done, total});
-                        if (st->outbox.push(
+                        if (!st->outbox.push(
                                 {sealFrame(
                                      MsgType::ProgressFrame, rid, w,
                                      st->peerVersion.load(
                                          std::memory_order_relaxed)),
-                                 nullptr, 0}))
-                            st->progressPushed.fetch_add(
-                                1, std::memory_order_relaxed);
-                        else
+                                 nullptr, 0},
+                                &st->progressPushed))
                             // Dead or overflowed connection: the
                             // push evaporated; unwedge its threads
                             // (idempotent).
@@ -788,14 +789,10 @@ QumaServer::dispatchRequest(ByteStream &stream,
                     // notifier thread stays cheap no matter how
                     // large the result or how many connections
                     // stream concurrently.
-                    if (st->outbox.push(
-                            {{}, std::move(result), rid})) {
-                        {
-                            std::lock_guard<std::mutex> lock(st->mu);
-                            st->submitted.erase(id);
-                        }
-                        st->streamed.fetch_add(
-                            1, std::memory_order_relaxed);
+                    if (st->outbox.push({{}, std::move(result), rid},
+                                        &st->streamed)) {
+                        std::lock_guard<std::mutex> lock(st->mu);
+                        st->submitted.erase(id);
                     } else {
                         // Dead or overflowed connection: make sure
                         // its threads unwedge (idempotent; no-op

@@ -213,8 +213,12 @@ class QumaServer
          *  disconnect, the writer tears the stream down. */
         std::size_t limit = 8192;
 
-        /** False (entry dropped) once closed or over the cap. */
-        bool push(OutFrame entry);
+        /** False (entry dropped) once closed or over the cap. An
+         *  accepted entry first bumps `accepted` (if given) under the
+         *  outbox lock, so the counter leads the writer's send: a
+         *  peer never reads a reply its count does not include. */
+        bool push(OutFrame entry,
+                  std::atomic<std::size_t> *accepted = nullptr);
         /** Block for the next entry (marks it in flight); nullopt
          *  once closed and empty. */
         std::optional<OutFrame> pop();

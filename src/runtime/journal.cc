@@ -504,11 +504,15 @@ JobJournal::bindMetrics(metrics::MetricsRegistry &registry)
                          std::lock_guard<std::mutex> lock(mu);
                          return static_cast<double>(pending.size());
                      });
-    fsyncLatency = registry.histogram(
+    metrics::Histogram fsync = registry.histogram(
         "quma_journal_fsync_seconds",
         "Journal fsync() latency (the durability gate of "
         "FsyncPolicy::Always submissions).",
         metrics::latencyBucketsSeconds());
+    // Published under mu: the writer thread may be fsyncing already
+    // (recovery journals before the caller can bind).
+    std::lock_guard<std::mutex> lock(mu);
+    fsyncLatency = fsync;
 }
 
 void
@@ -518,6 +522,7 @@ JobJournal::writerLoop()
         std::vector<std::vector<std::uint8_t>> batch;
         std::uint64_t batch_end = 0;
         bool someone_waiting = false;
+        metrics::Histogram fsync_latency;
         {
             std::unique_lock<std::mutex> lock(mu);
             cvWork.wait(lock,
@@ -532,6 +537,7 @@ JobJournal::writerLoop()
             // sync() and Always-appends both wait on cvDurable, so
             // any waiter means this batch must hit the platter.
             someone_waiting = cfg.fsync == FsyncPolicy::Always;
+            fsync_latency = fsyncLatency;
         }
 
         // Coalesce the batch into one write(): records stay atomic
@@ -565,7 +571,7 @@ JobJournal::writerLoop()
                 did_fsync = true;
             else
                 io_error = true;
-            fsyncLatency.observe(
+            fsync_latency.observe(
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count());

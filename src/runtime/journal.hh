@@ -314,7 +314,8 @@ class JobJournal
     JournalStats counters;
     /** Bound by bindMetrics (quma_journal_fsync_seconds); the
      *  default-constructed histogram is a no-op, so the writer can
-     *  observe unconditionally. */
+     *  observe unconditionally. Guarded by mu: the writer copies
+     *  the handle with each batch. */
     metrics::Histogram fsyncLatency;
     std::thread writer;
 };

@@ -138,28 +138,39 @@ JobScheduler::subscribeProgress(JobId id, ProgressCallback callback)
 {
     if (!callback)
         fatal("subscribeProgress needs a callback");
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = entries.find(id);
-    // Best-effort by design: an id that aged out of retention, or a
-    // job that already finished, simply never notifies -- its
-    // completion push (or UnknownJob error) is the remaining signal.
-    if (it == entries.end())
-        return;
-    const Entry &e = it->second;
-    if (e.jobStatus == JobStatus::Done ||
-        e.jobStatus == JobStatus::Failed)
-        return;
-    progressSubs[id].push_back(std::move(callback));
-    progressSubCount.fetch_add(1, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = entries.find(id);
+        // An id that aged out of retention never notifies -- its
+        // UnknownJob error is the remaining signal -- and neither
+        // does a failed job: its completion push is.
+        if (it == entries.end() ||
+            it->second.jobStatus == JobStatus::Failed)
+            return;
+        const Entry &e = it->second;
+        if (e.jobStatus != JobStatus::Done) {
+            progressSubs[id].push_back(std::move(callback));
+            return;
+        }
+        // Already done: answer with the final done == total frame
+        // (finishLocked set roundsDone to the total) through the
+        // notifier, the same way subscribe() answers a finished job.
+        Notification n;
+        n.id = id;
+        n.progress = std::move(callback);
+        n.roundsDone = e.roundsDone;
+        n.roundsTotal = e.roundsDone;
+        notifyQueue.push_back(std::move(n));
+        ++counters.progressNotifications;
+    }
+    cvNotify.notify_all();
 }
 
 void
-JobScheduler::noteRoundsDoneLocked(JobId id, Entry &entry,
-                                   std::size_t rounds)
+JobScheduler::noteRoundDoneLocked(JobId id, Entry &entry)
 {
-    entry.roundsDone += rounds;
-    if (progressSubCount.load(std::memory_order_relaxed) > 0)
-        queueProgressLocked(id, entry, /*force=*/false);
+    ++entry.roundsDone;
+    queueProgressLocked(id, entry, /*force=*/false);
 }
 
 void
@@ -264,28 +275,30 @@ JobScheduler::enqueueLocked(JobSpec &&spec)
     e.priority = spec.priority;
     e.seq = counters.submitted;
     e.submittedAt = std::chrono::steady_clock::now();
+    // One task per round range. A round-structured job is split into
+    // shards (shards == 0 asks for the widest useful split, one per
+    // worker); an opaque job is the single range {0, 1}.
     if (spec.rounds > 0) {
-        // Round-structured job: one task per shard. shards == 0 asks
-        // for the widest useful split, one shard per worker.
         std::size_t shards = spec.shards ? spec.shards : cfg.workers;
         e.shardRanges =
             partitionRounds(spec.rounds, shards, spec.minRoundsPerShard);
-        e.partials.resize(e.shardRanges.size());
-        e.progress.resize(e.shardRanges.size());
-        for (std::size_t s = 0; s < e.shardRanges.size(); ++s)
-            e.progress[s] = {e.shardRanges[s].begin,
-                             e.shardRanges[s].end, false};
-        e.shardsRemaining = e.shardRanges.size();
-        if (e.shardRanges.size() > 1) {
-            ++counters.shardedJobs;
-            ms.shardedJobs.inc();
-        }
+    } else {
+        e.shardRanges = {RoundRange{0, 1}};
     }
-    std::size_t tasks = e.shardRanges.empty() ? 1 : e.shardRanges.size();
+    e.partials.resize(e.shardRanges.size());
+    e.progress.resize(e.shardRanges.size());
+    for (std::size_t s = 0; s < e.shardRanges.size(); ++s)
+        e.progress[s] = {e.shardRanges[s].begin, e.shardRanges[s].end,
+                         false};
+    e.shardsRemaining = e.shardRanges.size();
+    if (e.shardRanges.size() > 1) {
+        ++counters.shardedJobs;
+        ms.shardedJobs.inc();
+    }
     e.spec = std::make_shared<const JobSpec>(std::move(spec));
-    entries.emplace(id, std::move(e));
-    for (std::size_t s = 0; s < tasks; ++s)
+    for (std::size_t s = 0; s < e.shardRanges.size(); ++s)
         queue.push_back({id, static_cast<std::uint32_t>(s)});
+    entries.emplace(id, std::move(e));
     counters.queueHighWater =
         std::max(counters.queueHighWater, queue.size());
     ++counters.submitted;
@@ -458,55 +471,65 @@ JobScheduler::cancel(JobId id)
 void
 JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
 {
-    ms.submitted = registry.counter(
+    // Handles are built outside the scheduler mutex (a render holds
+    // the registry lock while gauges below take ours) and published
+    // under it: workers use them under the same mutex, and may
+    // already be running recovered jobs.
+    Instruments bound;
+    bound.submitted = registry.counter(
         "quma_jobs_submitted_total",
         "Jobs accepted by a submit path (one per assigned job id).");
-    ms.rejected = registry.counter(
+    bound.rejected = registry.counter(
         "quma_submit_rejected_total",
         "trySubmit rejections, hard-bound and admission together.");
-    ms.admissionSoftRejects = registry.counter(
+    bound.admissionSoftRejects = registry.counter(
         "quma_admission_soft_rejects_total",
         "trySubmit rejections below the hard queue bound (the "
         "stats-driven admission controller said no).");
-    ms.completed = registry.counter(
+    bound.completed = registry.counter(
         "quma_jobs_completed_total",
         "Jobs finished with a successful result.");
-    ms.failed = registry.counter(
+    bound.failed = registry.counter(
         "quma_jobs_failed_total",
         "Jobs finished Failed (errors, cancellations, shutdown).");
-    ms.cancelled = registry.counter(
+    bound.cancelled = registry.counter(
         "quma_jobs_cancelled_total",
         "Jobs cancelled while still fully queued.");
-    ms.batchedJobs = registry.counter(
+    bound.batchedJobs = registry.counter(
         "quma_tasks_lease_batched_total",
         "Tasks that reused the previous task's machine lease.");
-    ms.shardedJobs = registry.counter(
+    bound.shardedJobs = registry.counter(
         "quma_jobs_sharded_total",
         "Jobs split into more than one shard.");
-    ms.shardsExecuted = registry.counter(
+    bound.shardsExecuted = registry.counter(
         "quma_shards_executed_total",
         "Shard tasks executed (single-shard round jobs included).");
-    ms.saturatedRuns = registry.counter(
+    bound.saturatedRuns = registry.counter(
         "quma_saturated_runs_total",
         "Runs whose machine reported timing-queue backpressure.");
-    ms.shardsStolen = registry.counter(
+    bound.shardsStolen = registry.counter(
         "quma_shards_stolen_total",
         "Shards created by splitting a running shard's unclaimed "
         "round tail onto an idle worker.");
-    ms.roundsStolen = registry.counter(
+    bound.roundsStolen = registry.counter(
         "quma_rounds_stolen_total",
         "Rounds moved between workers by shard stealing.");
-    ms.eventsDispatched = registry.counter(
+    bound.eventsDispatched = registry.counter(
         "quma_wheel_events_dispatched_total",
         "Event-wheel pops performed by machines running jobs.");
     static constexpr const char *kClassNames[3] = {"batch", "normal",
                                                    "high"};
-    for (std::size_t cls = 0; cls < ms.latency.size(); ++cls)
-        ms.latency[cls] = registry.histogram(
+    for (std::size_t cls = 0; cls < bound.latency.size(); ++cls)
+        bound.latency[cls] = registry.histogram(
             "quma_job_latency_seconds",
             "Submit->finish latency by priority class.",
             metrics::latencyBucketsSeconds(),
             {{"priority", kClassNames[cls]}});
+
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        ms = bound;
+    }
 
     registry.gaugeFn("quma_queue_depth",
                      "Tasks currently queued (sharded jobs hold one "
@@ -710,8 +733,8 @@ JobScheduler::finishLocked(JobId id, JobResult &&result,
     bool failed = result.failed();
     // Final progress push, unthrottled and ahead of the completion
     // notification in the FIFO notifier queue: subscribers always see
-    // done == total before the result lands. A non-sharded job (one
-    // machine run, no per-round loop) reports exactly this one frame.
+    // done == total before the result lands. An opaque job counts no
+    // rounds, so this 0-of-0 frame is the only one it reports.
     if (!failed && e.spec) {
         e.roundsDone = e.spec->rounds;
         queueProgressLocked(id, e, /*force=*/true);
@@ -723,7 +746,7 @@ JobScheduler::finishLocked(JobId id, JobResult &&result,
     e.partials.clear();
     e.shardRanges.clear();
     e.progress.clear();
-    activeSharded.erase(id);
+    activeJobs.erase(id);
     if (failed) {
         ++counters.failed;
         ms.failed.inc();
@@ -735,12 +758,7 @@ JobScheduler::finishLocked(JobId id, JobResult &&result,
     // A finished job's progress subscriptions end here; the queued
     // progress notifications (including the forced 100% one) are
     // already ahead of the completion push in the notifier queue.
-    auto ps = progressSubs.find(id);
-    if (ps != progressSubs.end()) {
-        progressSubCount.fetch_sub(ps->second.size(),
-                                   std::memory_order_relaxed);
-        progressSubs.erase(ps);
-    }
+    progressSubs.erase(id);
     // Push the result to completion subscribers (the notifier thread
     // delivers outside the mutex). Before the retention loop below:
     // it may evict this very entry.
@@ -792,7 +810,10 @@ JobScheduler::deliverShardLocked(JobId id, std::uint32_t shard,
  * happen in exactly the sequence round 0, 1, ..., N-1 -- the SAME
  * sequence for every partition, which is what makes the merged sums
  * (and hence the averages) bit-identical across 1-way, 2-way and
- * 4-way splits, with stealing on or off, at any worker count.
+ * 4-way splits, stolen or not, at any worker count. An opaque job's
+ * single partial merges to exactly the collector's own averages
+ * (0.0 + s == s, and s is never -0.0 since the collector sums from
+ * +0.0).
  */
 void
 JobScheduler::mergeShardsLocked(JobId id)
@@ -816,10 +837,14 @@ JobScheduler::mergeShardsLocked(JobId id)
     JobResult merged;
     for (const ShardPartial *p : order) {
         if (!p->error.empty()) {
-            merged.error = "shard covering rounds " +
-                           std::to_string(p->range.begin) + ".." +
-                           std::to_string(p->range.end) +
-                           " failed: " + p->error;
+            // An opaque job's one range is the whole job: its error
+            // reads exactly as the failure itself.
+            merged.error = spec.rounds == 0
+                               ? p->error
+                               : "shard covering rounds " +
+                                     std::to_string(p->range.begin) +
+                                     ".." + std::to_string(p->range.end) +
+                                     " failed: " + p->error;
             break;
         }
     }
@@ -868,35 +893,6 @@ JobScheduler::mergeShardsLocked(JobId id)
     finishLocked(id, std::move(merged));
 }
 
-JobResult
-JobScheduler::runJob(const JobSpec &spec, core::QumaMachine &machine,
-                     RunSample &sample)
-{
-    JobResult r;
-    try {
-        machine.reset(Rng::derive(spec.seed, kChipStream),
-                      Rng::derive(spec.seed, kExecStream));
-        // Always (re)configure collection: a pooled machine may carry
-        // the previous job's bin count, and determinism requires the
-        // collector state to depend on this spec alone.
-        machine.configureDataCollection(spec.bins ? spec.bins : 1);
-        if (spec.program)
-            machine.loadProgram(*spec.program);
-        else
-            machine.loadProgram(*cache.assemble(spec.assembly));
-        r.run = machine.run(spec.maxCycles);
-        r.averages = machine.dataCollector().averages();
-        r.bitAverages = machine.dataCollector().bitAverages();
-        r.sampleCount = machine.dataCollector().sampleCount();
-        auto st = machine.stats();
-        sample.absorb(st, machineSaturated(st));
-    } catch (const std::exception &ex) {
-        r = JobResult{};
-        r.error = ex.what();
-    }
-    return r;
-}
-
 JobScheduler::ShardPartial
 JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
                        JobId id, std::uint32_t shard, RoundRange range,
@@ -904,9 +900,12 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
 {
     ShardPartial p;
     // The claimed range grows round by round; claims are contiguous
-    // from range.begin in both modes, so [range.begin, p.range.end)
-    // is always exactly the rounds this partial holds.
+    // from range.begin, so [range.begin, p.range.end) is always
+    // exactly the rounds this partial holds.
     p.range = {range.begin, range.begin};
+    // An opaque job's single "round" is its whole program: it runs on
+    // the job-level streams and counts no rounds toward progress.
+    const bool opaque = spec.rounds == 0;
     std::size_t bins = spec.bins ? spec.bins : 1;
     p.binCounts.assign(bins, 0);
     p.bitBinCounts.assign(bins, 0);
@@ -927,28 +926,24 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
         bool first = true;
         // The previous iteration's round is counted as DONE under
         // the next claim's mutex hold (the loop re-enters it even to
-        // discover the shard is exhausted), so the progress counter
-        // rides the lock the stealing mode already takes. The
-        // non-stealing loop is lock-free per round: it accumulates
-        // locally and only takes the mutex while subscribers exist
-        // (or once at the end, to reconcile the job counter).
+        // discover the range is exhausted), so the progress counter
+        // rides the lock the claim already takes.
         bool countPrev = false;
-        std::size_t uncountedRounds = 0;
         for (;;) {
             std::size_t r;
-            if (cfg.workSteal) {
+            {
                 // Claim the next round under the scheduler mutex:
-                // the shard's window may have shrunk (a thief took
-                // the tail) or vanished (the job failed at
-                // shutdown). Claims stay contiguous because only
-                // this worker advances the cursor.
+                // the range may have shrunk (a thief took the tail)
+                // or vanished (the job failed at shutdown). Claims
+                // stay contiguous because only this worker advances
+                // the cursor.
                 std::lock_guard<std::mutex> claim(mu);
                 auto it = entries.find(id);
                 if (it == entries.end())
                     break;
                 Entry &e = it->second;
                 if (countPrev) {
-                    noteRoundsDoneLocked(id, e);
+                    noteRoundDoneLocked(id, e);
                     countPrev = false;
                 }
                 if (shard >= e.progress.size())
@@ -957,19 +952,19 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
                 if (pr.cursor >= pr.end)
                     break;
                 r = pr.cursor++;
-            } else {
-                if (p.range.end >= range.end)
-                    break;
-                r = p.range.end;
             }
             // Every round is a full session with its OWN RNG streams
             // derived from (seed, round): the draws a round sees
             // never depend on which machine it ran on or which
             // rounds preceded it there, so any partition of the
             // rounds -- including one rebalanced by stealing --
-            // replays them exactly.
-            machine.reset(Rng::derive(spec.seed, chipStreamOf(r)),
-                          Rng::derive(spec.seed, execStreamOf(r)));
+            // replays them exactly. An opaque job's one run keeps
+            // the job-level streams of a single-machine session.
+            machine.reset(
+                Rng::derive(spec.seed,
+                            opaque ? kChipStream : chipStreamOf(r)),
+                Rng::derive(spec.seed,
+                            opaque ? kExecStream : execStreamOf(r)));
             machine.configureDataCollection(bins);
             machine.loadProgram(*program);
             core::RunResult rr = machine.run(spec.maxCycles);
@@ -995,29 +990,7 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
             auto st = machine.stats();
             sample.absorb(st, machineSaturated(st));
             p.range.end = r + 1;
-            if (cfg.workSteal) {
-                countPrev = true;
-            } else {
-                ++uncountedRounds;
-                if (progressSubCount.load(
-                        std::memory_order_relaxed) > 0) {
-                    std::lock_guard<std::mutex> note(mu);
-                    auto it = entries.find(id);
-                    if (it != entries.end()) {
-                        noteRoundsDoneLocked(id, it->second,
-                                             uncountedRounds);
-                        uncountedRounds = 0;
-                    }
-                }
-            }
-        }
-        if (uncountedRounds > 0) {
-            // Rounds completed while nobody listened still count:
-            // the final forced push at finish reports the truth.
-            std::lock_guard<std::mutex> note(mu);
-            auto it = entries.find(id);
-            if (it != entries.end())
-                it->second.roundsDone += uncountedRounds;
+            countPrev = !opaque;
         }
     } catch (const std::exception &ex) {
         p = ShardPartial{};
@@ -1030,10 +1003,8 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
 bool
 JobScheduler::stealableLocked() const
 {
-    if (!cfg.workSteal)
-        return false;
-    std::size_t floor = std::max<std::size_t>(cfg.minStealRounds, 2);
-    for (JobId id : activeSharded) {
+    const std::size_t floor = stealFloor();
+    for (JobId id : activeJobs) {
         auto it = entries.find(id);
         if (it == entries.end())
             continue;
@@ -1048,11 +1019,11 @@ JobScheduler::stealableLocked() const
 std::optional<JobScheduler::Task>
 JobScheduler::stealLocked()
 {
-    std::size_t floor = std::max<std::size_t>(cfg.minStealRounds, 2);
+    const std::size_t floor = stealFloor();
     JobId bestId = 0;
     std::size_t bestShard = 0;
     std::size_t bestRemaining = 0;
-    for (JobId id : activeSharded) {
+    for (JobId id : activeJobs) {
         auto it = entries.find(id);
         if (it == entries.end())
             continue;
@@ -1107,6 +1078,18 @@ JobScheduler::noteRunLocked(const RunSample &sample)
         static_cast<double>(sample.eventsDispatched));
 }
 
+JobScheduler::Task
+JobScheduler::takeTaskLocked(std::size_t slot)
+{
+    Task task = queue[slot];
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(slot));
+    Entry &entry = entries.at(task.id);
+    entry.jobStatus = JobStatus::Running;
+    entry.progress[task.shard].running = true;
+    activeJobs.insert(task.id);
+    return task;
+}
+
 void
 JobScheduler::workerLoop()
 {
@@ -1118,47 +1101,26 @@ JobScheduler::workerLoop()
         if (stop)
             return;
 
-        Task task;
-        std::shared_ptr<const JobSpec> spec;
-        std::string key;
-        bool sharded;
-        RoundRange range;
-        if (!queue.empty()) {
-            std::size_t slot = pickBestLocked();
-            task = queue[slot];
-            queue.erase(queue.begin() +
-                        static_cast<std::ptrdiff_t>(slot));
-            Entry &entry = entries.at(task.id);
-            entry.jobStatus = JobStatus::Running;
-            spec = entry.spec;
-            key = entry.key;
-            sharded = !entry.shardRanges.empty();
-            range = sharded ? entry.shardRanges[task.shard]
-                            : RoundRange{};
-            if (sharded) {
-                entry.progress[task.shard].running = true;
-                activeSharded.insert(task.id);
-            }
-        } else {
-            // Queue drained but a running shard has rounds to spare:
-            // split its tail off as a fresh shard and run it here,
-            // without a queue round-trip.
-            auto stolen = stealLocked();
-            if (!stolen)
-                continue; // raced with the victim finishing
-            task = *stolen;
-            Entry &entry = entries.at(task.id);
-            spec = entry.spec;
-            key = entry.key;
-            sharded = true;
-            range = entry.shardRanges[task.shard];
-        }
+        // Queue drained but a running range has rounds to spare:
+        // split its tail off as a fresh shard and run it here,
+        // without a queue round-trip.
+        std::optional<Task> next = queue.empty()
+                                       ? stealLocked()
+                                       : takeTaskLocked(pickBestLocked());
+        if (!next)
+            continue; // raced with the victim finishing
+        Task task = *next;
+        const Entry &entry = entries.at(task.id);
+        std::shared_ptr<const JobSpec> spec = entry.spec;
+        const std::string key = entry.key;
+        RoundRange range = entry.shardRanges[task.shard];
         ++inFlight;
         lock.unlock();
         cvSpace.notify_one();
-        // A newly started (or newly stolen) shard is itself a steal
-        // candidate: wake idle workers so they can carve it up.
-        if (sharded)
+        // A newly started (or newly stolen) range is itself a steal
+        // candidate: wake idle workers so they can carve it up. One
+        // below the floor (every opaque job) wakes nobody.
+        if (range.size() >= stealFloor())
             cvWork.notify_all();
 
         MachinePool::Lease lease;
@@ -1170,19 +1132,11 @@ JobScheduler::workerLoop()
             // Machine construction rejected the config: fail THIS
             // task; letting the exception leave the thread would
             // terminate the whole service.
-            std::string err =
-                std::string("machine unavailable: ") + ex.what();
+            ShardPartial p;
+            p.range = range;
+            p.error = std::string("machine unavailable: ") + ex.what();
             lock.lock();
-            if (sharded) {
-                ShardPartial p;
-                p.range = range;
-                p.error = std::move(err);
-                deliverShardLocked(task.id, task.shard, std::move(p));
-            } else {
-                JobResult r;
-                r.error = std::move(err);
-                finishLocked(task.id, std::move(r));
-            }
+            deliverShardLocked(task.id, task.shard, std::move(p));
             --inFlight;
             cvDone.notify_all();
             continue;
@@ -1200,25 +1154,18 @@ JobScheduler::workerLoop()
         for (;;) {
             RunSample sample;
             traceRecord(task.id, TracePhase::ShardStart, task.shard);
-            if (sharded) {
-                ShardPartial partial =
-                    runShard(*spec, lease.machine(), task.id,
-                             task.shard, range, sample);
-                traceRecord(task.id, TracePhase::ShardFinish,
-                            task.shard);
-                lock.lock();
+            ShardPartial partial = runShard(*spec, lease.machine(),
+                                            task.id, task.shard, range,
+                                            sample);
+            traceRecord(task.id, TracePhase::ShardFinish, task.shard);
+            lock.lock();
+            // shardsExecuted counts round-structured shards only: an
+            // opaque job's one-range task is the job itself.
+            if (spec->rounds > 0) {
                 ++counters.shardsExecuted;
                 ms.shardsExecuted.inc();
-                deliverShardLocked(task.id, task.shard,
-                                   std::move(partial));
-            } else {
-                JobResult result =
-                    runJob(*spec, lease.machine(), sample);
-                traceRecord(task.id, TracePhase::ShardFinish,
-                            task.shard);
-                lock.lock();
-                finishLocked(task.id, std::move(result));
             }
+            deliverShardLocked(task.id, task.shard, std::move(partial));
             noteRunLocked(sample);
             ++ranOnLease;
             --inFlight;
@@ -1229,27 +1176,18 @@ JobScheduler::workerLoop()
             // it on the same lease without a pool round-trip.
             if (!stop && !queue.empty() &&
                 ranOnLease < cfg.leaseBatchLimit) {
-                std::size_t next = pickBestLocked();
-                Entry &ne = entries.at(queue[next].id);
-                if (ne.key == key) {
-                    task = queue[next];
-                    queue.erase(queue.begin() +
-                                static_cast<std::ptrdiff_t>(next));
-                    ++inFlight;
-                    ne.jobStatus = JobStatus::Running;
+                std::size_t slot = pickBestLocked();
+                if (entries.at(queue[slot].id).key == key) {
+                    task = takeTaskLocked(slot);
+                    const Entry &ne = entries.at(task.id);
                     spec = ne.spec;
-                    sharded = !ne.shardRanges.empty();
-                    range = sharded ? ne.shardRanges[task.shard]
-                                    : RoundRange{};
-                    if (sharded) {
-                        ne.progress[task.shard].running = true;
-                        activeSharded.insert(task.id);
-                    }
+                    range = ne.shardRanges[task.shard];
+                    ++inFlight;
                     ++counters.batchedJobs;
                     ms.batchedJobs.inc();
                     lock.unlock();
                     cvSpace.notify_one();
-                    if (sharded)
+                    if (range.size() >= stealFloor())
                         cvWork.notify_all();
                     traceRecord(task.id, TracePhase::Leased,
                                 task.shard);

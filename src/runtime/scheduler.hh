@@ -11,13 +11,17 @@
  * of Normal/Batch work, while aging guarantees the backlog is never
  * starved by a continuous stream of fresh High jobs.
  *
- * SHARDING. An opaque job (JobSpec::rounds == 0) is one task. A
- * round-structured job is split by partitionRounds() into contiguous
- * round ranges, one task per shard, which run in parallel on pooled
- * machines; the worker finishing the last shard merges the per-round
- * collector sums in global round order. Per-round RNG derivation
- * (runtime/keys.hh) plus the order-preserving merge make the merged
- * result bit-identical for every shard count and worker count.
+ * ONE TASK PATH. Every job is a set of contiguous round ranges, one
+ * task per range, and every task runs the same claim loop, partial
+ * and merge. A round-structured job is split by partitionRounds()
+ * into shards that run in parallel on pooled machines; the worker
+ * finishing the last shard merges the per-round collector sums in
+ * global round order. An opaque job (JobSpec::rounds == 0) is the
+ * single range {0, 1}: its one "round" is the whole program on the
+ * job-level RNG streams. What a round computes differs between the
+ * two kinds only in its stream selection (runtime/keys.hh); per-round
+ * streams plus the order-preserving merge make the merged result
+ * bit-identical for every shard count and worker count.
  *
  * BATCHING. After a task, while the worker still holds its machine
  * lease, it runs the next BEST task immediately if that task needs
@@ -32,15 +36,16 @@
  * with no awaitFor polling loop holding a thread per pending job.
  *
  * WORK STEALING. A slow shard would otherwise gate its job's merge
- * while other workers idle. With workSteal enabled, the executing
- * worker claims its shard's rounds one at a time (contiguously, under
- * the scheduler mutex) and an idle worker may SPLIT the largest
- * in-flight shard: the tail half of its unclaimed rounds becomes a
- * new shard the thief runs immediately. Because every round derives
- * its RNG streams from (seed, round) and the merge walks partials in
- * round order, stealing changes WHO runs a round but never WHAT it
- * computes -- merged results stay bit-identical with stealing on or
- * off, at any worker count.
+ * while other workers idle. The executing worker claims its range's
+ * rounds one at a time (contiguously, under the scheduler mutex) and
+ * an idle worker may SPLIT the largest in-flight range: the tail half
+ * of its unclaimed rounds becomes a new shard the thief runs
+ * immediately. Because every round derives its RNG streams from
+ * (seed, round) and the merge walks partials in round order, stealing
+ * changes WHO runs a round but never WHAT it computes -- merged
+ * results are bit-identical to an unstolen run, at any worker count.
+ * An opaque job's one-round range is below the steal floor of 2, so
+ * it is never split.
  *
  * ADMISSION. Executed jobs sample QumaMachine::stats(): a run whose
  * timing event queues rejected a push (producer backpressure; deep
@@ -157,13 +162,6 @@ struct SchedulerConfig
      */
     JobTraceRecorder *trace = nullptr;
     /**
-     * Let idle workers split the remaining round range of a running
-     * shard (see WORK STEALING above). Results are bit-identical
-     * either way; off trades tail-latency rebalancing for
-     * strictly lock-free round execution inside a shard.
-     */
-    bool workSteal = true;
-    /**
      * A shard is a steal victim only while it still has at least
      * this many unclaimed rounds (floored at 2 so the victim always
      * keeps one and the thief always gets one).
@@ -209,7 +207,8 @@ class JobScheduler
         std::size_t batchedJobs = 0;
         /** Jobs split into more than one shard. */
         std::size_t shardedJobs = 0;
-        /** Shard tasks executed (incl. single-shard round jobs). */
+        /** Shard tasks executed (incl. single-shard round jobs;
+         *  an opaque job's one-range task is not counted). */
         std::size_t shardsExecuted = 0;
         /** Runs whose machine reported queue saturation. */
         std::size_t saturatedRuns = 0;
@@ -330,17 +329,19 @@ class JobScheduler
         std::function<void(JobId, std::size_t, std::size_t)>;
 
     /**
-     * Register `callback` for round-completion progress on a
-     * round-structured job, rate-limited by
-     * SchedulerConfig::progressInterval. Unlike subscribe() this is
-     * BEST-EFFORT and not one-shot: callbacks fire zero or more
-     * times (an opaque or already-finished job never notifies; the
-     * completion push, not a 100% notification, is the terminal
-     * signal) and ride the same notifier thread in queue order --
-     * every progress notification for a job is delivered before its
-     * completion notification. Unknown ids are ignored rather than
-     * fatal: the serving layer subscribes in a race with bounded
-     * retention. Subscriptions end with the job.
+     * Register `callback` for round-completion progress, rate-limited
+     * by SchedulerConfig::progressInterval. Unlike subscribe() this
+     * is not one-shot: a job that completes successfully ends with a
+     * done == total notification (an opaque job, which counts no
+     * rounds, reports just that one, 0 of 0), and a subscriber that
+     * arrives after a successful finish gets exactly that frame
+     * immediately. A failed job stops notifying -- its completion
+     * push is the terminal signal. Callbacks ride the same notifier
+     * thread in queue order, so every progress notification for a
+     * job is delivered before a completion notification subscribed
+     * after it. Unknown ids are ignored rather than fatal: the
+     * serving layer subscribes in a race with bounded retention.
+     * Subscriptions end with the job.
      */
     void subscribeProgress(JobId id, ProgressCallback callback);
 
@@ -422,9 +423,9 @@ class JobScheduler
         std::size_t seq = 0;
         /** Submission instant (latency tracking reference point). */
         std::chrono::steady_clock::time_point submittedAt;
-        /** Round ranges per shard; empty for opaque jobs. Stolen
-         *  shards are appended, so ranges are not sorted -- the
-         *  merge orders partials by range.begin. */
+        /** Round ranges per shard ({0, 1} alone for an opaque
+         *  job). Stolen shards are appended, so ranges are not
+         *  sorted -- the merge orders partials by range.begin. */
         std::vector<RoundRange> shardRanges;
         std::vector<ShardPartial> partials;
         /** Parallel to shardRanges (work-stealing claim state). */
@@ -441,7 +442,7 @@ class JobScheduler
         std::chrono::steady_clock::time_point lastProgressAt{};
     };
 
-    /** One queued unit of work: a whole opaque job or one shard. */
+    /** One queued unit of work: one round range of a job. */
     struct Task
     {
         JobId id = 0;
@@ -485,14 +486,11 @@ class JobScheduler
     void notifierLoop();
     /** Move the job's subscriptions into the notifier queue. */
     void queueNotificationsLocked(JobId id, const JobResult &result);
-    /** Count completed rounds and maybe queue progress pushes. */
-    void noteRoundsDoneLocked(JobId id, Entry &entry,
-                              std::size_t rounds = 1);
+    /** Count one completed round and maybe queue progress pushes. */
+    void noteRoundDoneLocked(JobId id, Entry &entry);
     /** Queue a progress snapshot for every subscriber (rate-limited
      *  unless `force` -- the final 100% push is forced). */
     void queueProgressLocked(JobId id, Entry &entry, bool force);
-    JobResult runJob(const JobSpec &spec, core::QumaMachine &machine,
-                     RunSample &sample);
     ShardPartial runShard(const JobSpec &spec,
                           core::QumaMachine &machine, JobId id,
                           std::uint32_t shard, RoundRange range,
@@ -501,6 +499,15 @@ class JobScheduler
      *  a new shard of its job; nullopt when nothing is stealable. */
     std::optional<Task> stealLocked();
     bool stealableLocked() const;
+    /** Unclaimed rounds a running range needs to be a steal victim:
+     *  minStealRounds, floored at 2 so victim and thief both get
+     *  one. */
+    std::size_t stealFloor() const
+    {
+        return std::max<std::size_t>(cfg.minStealRounds, 2);
+    }
+    /** Dequeue queue[slot] and mark its range running. */
+    Task takeTaskLocked(std::size_t slot);
     /** Fold one task's machine samples into counters and EWMAs. */
     void noteRunLocked(const RunSample &sample);
     JobId enqueueLocked(JobSpec &&spec);
@@ -562,9 +569,9 @@ class JobScheduler
     std::condition_variable cvDone;
     std::deque<Task> queue;
     std::unordered_map<JobId, Entry> entries;
-    /** Jobs with shards currently executing -- the steal scan's
+    /** Jobs with ranges currently executing -- the steal scan's
      *  candidate set, so idle workers never walk all entries. */
-    std::unordered_set<JobId> activeSharded;
+    std::unordered_set<JobId> activeJobs;
     /** Finished ids, oldest first (drives bounded result retention). */
     std::deque<JobId> finishedOrder;
     /** Completion-order observable, a ring of the newest
@@ -591,9 +598,6 @@ class JobScheduler
      *  erased when the job finishes). */
     std::unordered_map<JobId, std::vector<ProgressCallback>>
         progressSubs;
-    /** Live progress-subscription count: lets the non-stealing
-     *  round loop skip the mutex entirely when nobody listens. */
-    std::atomic<std::size_t> progressSubCount{0};
     /** Fired-but-undelivered notifications, completion order. */
     std::deque<Notification> notifyQueue;
     std::condition_variable cvNotify;

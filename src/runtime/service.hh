@@ -52,8 +52,7 @@ struct ServiceConfig
     /** Pool-wait admission signal (see SchedulerConfig). */
     double poolWaitThresholdSeconds = 0.02;
     double poolWaitAlpha = 0.25;
-    /** Work stealing between shards (see SchedulerConfig). */
-    bool workSteal = true;
+    /** Steal floor of work stealing (see SchedulerConfig). */
     std::size_t minStealRounds = 4;
     /** Per-job progress-notification rate limit (see
      *  SchedulerConfig::progressInterval; 0 = every round). */

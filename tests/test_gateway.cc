@@ -268,6 +268,8 @@ TEST(Gateway, NoHealthyBackendAnswersCleanErrors)
         ErrorFrame err = decodeErrorFrame(r);
         EXPECT_EQ(err.code, WireErrorCode::Internal);
     }
+    // Counters lead the replies that reveal them.
+    EXPECT_GE(gw.stats().errorsReturned, 1u);
     frame = sealFrame(MsgType::TrySubmitRequest, 2, submit, 3);
     raw->sendAll(frame.data(), frame.size());
     {

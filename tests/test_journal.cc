@@ -377,15 +377,19 @@ TEST(ServiceJournal, ShutdownFailureDoesNotMarkPendingWorkComplete)
 /**
  * THE TENTPOLE PIN: a job that crashed while queued is recovered and
  * re-run bit-identically at EVERY scheduler shape -- any shard
- * count, any worker count, stealing on or off. Determinism makes the
- * recovered result indistinguishable from the uninterrupted one.
+ * count, any worker count, with idle workers stealing round tails.
+ * Determinism makes the recovered result indistinguishable from the
+ * uninterrupted run of one shard on one worker, where no thief
+ * exists.
  */
 TEST(ServiceJournal, CrashRecoveryIsBitIdenticalAcrossSchedulerShapes)
 {
-    auto reference = [](std::size_t shards) {
+    const JobResult pinned = [] {
         ExperimentService svc({.workers = 1});
-        return svc.runSync(matrixJob(shards, 0x57EA1));
-    };
+        return svc.runSync(matrixJob(1, 0x57EA1));
+    }();
+    ASSERT_FALSE(pinned.failed());
+    EXPECT_EQ(pinned.sampleCount, 32u);
 
     auto crashWithQueued = [](const std::string &path,
                               std::size_t shards) {
@@ -397,11 +401,9 @@ TEST(ServiceJournal, CrashRecoveryIsBitIdenticalAcrossSchedulerShapes)
         svc.journal()->sync();
     };
 
-    auto recoverAndRun = [](const std::string &path, unsigned workers,
-                            bool steal) {
+    auto recoverAndRun = [](const std::string &path, unsigned workers) {
         ServiceConfig sc;
         sc.workers = workers;
-        sc.workSteal = steal;
         sc.minStealRounds = 2;
         sc.journalPath = path;
         ExperimentService svc(sc);
@@ -410,20 +412,14 @@ TEST(ServiceJournal, CrashRecoveryIsBitIdenticalAcrossSchedulerShapes)
     };
 
     for (std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        const JobResult pinned = reference(shards);
-        ASSERT_FALSE(pinned.failed());
-        EXPECT_EQ(pinned.sampleCount, 32u);
-        for (unsigned workers : {1u, 2u, 4u})
-            for (bool steal : {false, true}) {
-                const std::string path = tempPath("matrix");
-                crashWithQueued(path, shards);
-                EXPECT_EQ(pinned, recoverAndRun(path, workers, steal))
-                    << "shards=" << shards << " workers=" << workers
-                    << " steal=" << steal;
-                std::remove(path.c_str());
-            }
-    }
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}})
+        for (unsigned workers : {1u, 2u, 4u}) {
+            const std::string path = tempPath("matrix");
+            crashWithQueued(path, shards);
+            EXPECT_EQ(pinned, recoverAndRun(path, workers))
+                << "shards=" << shards << " workers=" << workers;
+            std::remove(path.c_str());
+        }
 }
 
 TEST(ServiceJournal, GracefulCompletionLeavesNothingPending)

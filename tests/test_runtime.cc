@@ -10,12 +10,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "experiments/allxy.hh"
 #include "experiments/coherence.hh"
+#include "runtime/keys.hh"
 #include "runtime/service.hh"
 
 namespace quma::runtime {
@@ -200,6 +204,8 @@ TEST(Scheduler, FailedJobCarriesTheError)
     JobResult r = svc.runSync(std::move(bad));
     EXPECT_TRUE(r.failed());
     EXPECT_FALSE(r.error.empty());
+    // An opaque job reports the raw failure, with no shard framing.
+    EXPECT_EQ(r.error.find("shard covering"), std::string::npos);
     setLogQuiet(false);
 }
 
@@ -215,7 +221,7 @@ TEST(Scheduler, InvalidMachineConfigFailsTheJobNotTheService)
     bad.machine.qubits[0].t2Ns = 3.0 * bad.machine.qubits[0].t1Ns;
     JobResult r = svc.runSync(std::move(bad));
     EXPECT_TRUE(r.failed());
-    EXPECT_NE(r.error.find("machine unavailable"), std::string::npos);
+    EXPECT_EQ(r.error.rfind("machine unavailable: ", 0), 0u);
 
     // The service keeps serving healthy jobs afterwards.
     JobResult ok = svc.runSync(shotJob(2, 0x2));
@@ -241,34 +247,65 @@ TEST(Scheduler, BoundedResultRetentionAgesOutOldJobs)
 }
 
 /**
+ * An opaque job spelled out on a bare machine, with no scheduler in
+ * between: reset on the job-level streams, configure the collector,
+ * load, run, read the collector.
+ */
+JobResult
+runOnBareMachine(const JobSpec &job)
+{
+    core::QumaMachine m(job.machine);
+    m.uploadStandardCalibration();
+    m.reset(Rng::derive(job.seed, kChipStream),
+            Rng::derive(job.seed, kExecStream));
+    m.configureDataCollection(job.bins ? job.bins : 1);
+    m.loadAssembly(job.assembly);
+    JobResult r;
+    r.run = m.run(job.maxCycles);
+    r.averages = m.dataCollector().averages();
+    r.bitAverages = m.dataCollector().bitAverages();
+    r.sampleCount = m.dataCollector().sampleCount();
+    return r;
+}
+
+/**
  * The runtime's core invariant: a job set's results depend only on
  * the job specs, not on worker count, pool capacity, lease batching,
- * or queue order. 1, 2 and 8 workers must aggregate identically.
+ * or queue order. 1, 2 and 8 workers must aggregate identically, and
+ * equal the same programs run on a bare machine.
  */
 TEST(Scheduler, DeterministicAcrossWorkerCounts)
 {
-    auto runAll = [](unsigned workers) {
+    std::vector<JobSpec> jobs;
+    core::MachineConfig twoQubit;
+    twoQubit.qubits.assign(2, qsim::paperQubitParams());
+    for (unsigned i = 0; i < 6; ++i) {
+        JobSpec job = shotJob(4, 0x9000 + i);
+        if (i % 2 == 1)
+            job.machine = twoQubit; // two shards in flight
+        jobs.push_back(std::move(job));
+    }
+    auto runAll = [&jobs](unsigned workers) {
         ExperimentService svc({.workers = workers});
         std::vector<JobId> ids;
-        core::MachineConfig twoQubit;
-        twoQubit.qubits.assign(2, qsim::paperQubitParams());
-        for (unsigned i = 0; i < 6; ++i) {
-            JobSpec job = shotJob(4, 0x9000 + i);
-            if (i % 2 == 1)
-                job.machine = twoQubit; // two shards in flight
-            ids.push_back(svc.submit(std::move(job)));
-        }
+        for (const JobSpec &job : jobs)
+            ids.push_back(svc.submit(job));
         return svc.awaitAll(ids);
     };
 
     std::vector<JobResult> one = runAll(1);
     std::vector<JobResult> two = runAll(2);
     std::vector<JobResult> eight = runAll(8);
-    ASSERT_EQ(one.size(), two.size());
-    ASSERT_EQ(one.size(), eight.size());
-    for (std::size_t i = 0; i < one.size(); ++i) {
+    ASSERT_EQ(one.size(), jobs.size());
+    ASSERT_EQ(two.size(), jobs.size());
+    ASSERT_EQ(eight.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_FALSE(one[i].failed()) << "job " << i;
         EXPECT_EQ(one[i], two[i]) << "job " << i;
         EXPECT_EQ(one[i], eight[i]) << "job " << i;
+        // The scheduler's one task path adds nothing to an opaque
+        // job: it equals the bare single-machine session.
+        EXPECT_EQ(one[i], runOnBareMachine(jobs[i])) << "job " << i;
     }
 }
 
@@ -324,15 +361,14 @@ TEST(Sharding, ShardMergeIsBitIdenticalAcrossSplitsAndWorkers)
  * Work stealing rebalances shards at round granularity, and because
  * every round's RNG streams are derived from (seed, round) and the
  * merge re-sums in global round order, the result must stay
- * bit-identical whether stealing is on or off, at every worker and
- * shard count.
+ * bit-identical at every worker and shard count to the run of one
+ * shard on one worker, where no thief exists.
  */
 TEST(Sharding, StealingKeepsMergesBitIdentical)
 {
-    auto run = [](std::size_t shards, unsigned workers, bool steal) {
+    auto run = [](std::size_t shards, unsigned workers) {
         ServiceConfig sc;
         sc.workers = workers;
-        sc.workSteal = steal;
         sc.minStealRounds = 2;
         ExperimentService svc(sc);
         JobSpec job = shotJob(1, 0x57ea1); // one-round body
@@ -342,17 +378,15 @@ TEST(Sharding, StealingKeepsMergesBitIdentical)
         return svc.runSync(std::move(job));
     };
 
-    JobResult pinned = run(1, 1, false);
+    JobResult pinned = run(1, 1);
     ASSERT_FALSE(pinned.failed());
     EXPECT_EQ(pinned.sampleCount, 32u);
 
     for (std::size_t shards : {std::size_t{1}, std::size_t{2},
                                std::size_t{4}})
         for (unsigned workers : {1u, 2u, 4u})
-            for (bool steal : {false, true})
-                EXPECT_EQ(pinned, run(shards, workers, steal))
-                    << "shards=" << shards << " workers=" << workers
-                    << " steal=" << steal;
+            EXPECT_EQ(pinned, run(shards, workers))
+                << "shards=" << shards << " workers=" << workers;
 }
 
 /**
@@ -733,6 +767,48 @@ TEST(Scheduler, CancelDropsQueuedWorkOnly)
     EXPECT_EQ(stats.failed, 1u); // the cancelled job counts as failed
 }
 
+/**
+ * A progress subscriber that arrives after the job finished is not
+ * left empty-handed: it gets exactly one immediate done == total
+ * frame, the way subscribe() answers a finished job -- for an opaque
+ * job (0 of 0) and a round-structured one alike.
+ */
+TEST(Scheduler, LateProgressSubscriberGetsOneFinalFrame)
+{
+    ExperimentService svc({.workers = 2});
+    JobSpec rounds = shotJob(1, 0x1a7e);
+    rounds.rounds = 8;
+    for (JobSpec job : {shotJob(2, 0x1a7e), rounds}) {
+        const std::size_t total = job.rounds;
+        JobId id = svc.submit(std::move(job));
+        ASSERT_FALSE(svc.await(id).failed());
+
+        std::mutex mu;
+        std::condition_variable cv;
+        std::vector<std::pair<std::size_t, std::size_t>> frames;
+        bool completed = false;
+        svc.scheduler().subscribeProgress(
+            id, [&](JobId, std::size_t done, std::size_t of) {
+                std::lock_guard<std::mutex> lock(mu);
+                frames.emplace_back(done, of);
+            });
+        // Completion subscribed second is delivered second (one FIFO
+        // notifier thread): once it lands, every frame has too.
+        svc.scheduler().subscribe(
+            id, [&](JobId, std::shared_ptr<const JobResult>) {
+                std::lock_guard<std::mutex> lock(mu);
+                completed = true;
+                cv.notify_all();
+            });
+        std::unique_lock<std::mutex> lock(mu);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return completed; }));
+        ASSERT_EQ(frames.size(), 1u) << "rounds=" << total;
+        EXPECT_EQ(frames[0].first, total);
+        EXPECT_EQ(frames[0].second, total);
+    }
+}
+
 namespace {
 
 /** Phases recorded for `id`, in record order. */
@@ -776,7 +852,7 @@ TEST(Trace, EnabledRunCapturesTheFullLifecycle)
          {TracePhase::Submitted, TracePhase::Admitted,
           TracePhase::Queued, TracePhase::Leased,
           TracePhase::ShardStart, TracePhase::ShardFinish,
-          TracePhase::Finished})
+          TracePhase::Merge, TracePhase::Finished})
         EXPECT_TRUE(contains(phases, p)) << tracePhaseName(p);
     // Causal order within the job's own event stream.
     EXPECT_EQ(phases.front(), TracePhase::Submitted);
@@ -793,7 +869,7 @@ TEST(Trace, EnabledRunCapturesTheFullLifecycle)
 TEST(Trace, ShardedJobTracksEveryShard)
 {
     // A round-structured job (rounds on the spec, one-round body):
-    // only those shard, and only they have a merge step to trace.
+    // only those shard; each shard traces its own start/finish pair.
     ExperimentService svc({.workers = 4});
     svc.trace().enable();
     experiments::AllxyConfig cfg;
