@@ -4,8 +4,9 @@
  * zero-allocation overhaul: fused density-matrix conjugations, the
  * closed-form idle (T1/T2) channel against the generic Kraus path it
  * replaced, the diagonal-gate fast paths against full conjugations,
- * and the phasor-recurrence signal chain against direct per-sample
- * sin/cos evaluation. Prints a fixed-width table and, with
+ * the phasor-recurrence signal chain against direct per-sample
+ * sin/cos evaluation, and the fused readout-plus-integration path
+ * against the trace-building one. Prints a fixed-width table and, with
  * `--json <path>`, writes the machine-readable BENCH_qsim.json used to
  * track the kernel perf trajectory across PRs.
  *
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <numbers>
 #include <string>
+#include <vector>
 
 #include "bench/report.hh"
 #include "common/rng.hh"
@@ -133,6 +135,20 @@ benchSignalChain(bench::JsonReport &json)
         },
         4000);
     report(json, "simulate_readout_1500ns", readout);
+
+    // The machine's readout path: the same window integrated against
+    // the MDU weights as it is synthesised, no trace built.
+    auto cal = measure::calibrateMdu(rp, 1500);
+    auto tone = qsim::readoutTone(rp, cal.weights.size());
+    std::vector<double> noise;
+    double integrated = timeNs(
+        [&] {
+            auto r = qsim::integrateReadout(rp, tone, false, 1500, 30000.0,
+                                            rng, cal.weights, noise);
+            benchmarkSink = r.s;
+        },
+        4000);
+    report(json, "readout_integrated_1500ns", integrated, readout);
 
     double mduCal = timeNs(
         [&] {

@@ -7,6 +7,7 @@
 #define QUMA_COMMON_RNG_HH
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace quma {
@@ -110,19 +111,11 @@ class Rng
     result_type
     operator()()
     {
-        auto rotl = [](std::uint64_t v, int k) {
-            return (v << k) | (v >> (64 - k));
-        };
-        std::uint64_t result = rotl(state[0] + state[3], 23) + state[0];
-        std::uint64_t t = state[1] << 17;
-        state[2] ^= state[0];
-        state[3] ^= state[1];
-        state[1] ^= state[2];
-        state[0] ^= state[3];
-        state[2] ^= t;
-        state[3] = rotl(state[3], 45);
-        return result;
+        return step(state[0], state[1], state[2], state[3]);
     }
+
+    /** Two generators are equal when their engine states are. */
+    bool operator==(const Rng &) const = default;
 
     /** Uniform double in [0, 1). */
     double
@@ -175,15 +168,30 @@ class Rng
     /**
      * Fill buf[0..n) with standard-normal draws. The draws are the
      * same stream, in the same order, as n successive
-     * standardNormal() calls -- batching a hot loop's noise into one
-     * pass never changes the results, it only separates the RNG
-     * work from whatever the loop interleaved it with.
+     * standardNormal() calls, and the engine ends in the same state
+     * -- batching a hot loop's noise into one pass never changes the
+     * results. The engine state lives in locals across the
+     * rectangle-accept fast path (~99% of draws); a wedge or tail
+     * candidate writes it back and finishes through normalSlow(),
+     * exactly as standardNormal() does.
      */
     void
     fillStandardNormal(double *buf, std::size_t n)
     {
-        for (std::size_t k = 0; k < n; ++k)
-            buf[k] = standardNormal();
+        const auto &z = detail::zigguratTables();
+        std::uint64_t s0 = state[0], s1 = state[1], s2 = state[2],
+                      s3 = state[3];
+        for (std::size_t k = 0; k < n; ++k) {
+            Candidate c = candidate(step(s0, s1, s2, s3));
+            if (std::abs(c.u) < z.ratio[c.layer]) {
+                buf[k] = c.u * z.x[c.layer];
+                continue;
+            }
+            state[0] = s0, state[1] = s1, state[2] = s2, state[3] = s3;
+            buf[k] = normalSlow(c);
+            s0 = state[0], s1 = state[1], s2 = state[2], s3 = state[3];
+        }
+        state[0] = s0, state[1] = s1, state[2] = s2, state[3] = s3;
     }
 
     /**
@@ -206,16 +214,60 @@ class Rng
     standardNormal()
     {
         const auto &z = detail::zigguratTables();
+        Candidate c = candidate((*this)());
+        if (std::abs(c.u) < z.ratio[c.layer])
+            return c.u * z.x[c.layer]; // strictly inside the rectangle
+        return normalSlow(c);
+    }
+
+  private:
+    /** One xoshiro256++ step on an explicit state. */
+    static std::uint64_t
+    step(std::uint64_t &s0, std::uint64_t &s1, std::uint64_t &s2,
+         std::uint64_t &s3)
+    {
+        auto rotl = [](std::uint64_t v, int k) {
+            return (v << k) | (v >> (64 - k));
+        };
+        std::uint64_t result = rotl(s0 + s3, 23) + s0;
+        std::uint64_t t = s1 << 17;
+        s2 ^= s0;
+        s3 ^= s1;
+        s1 ^= s2;
+        s0 ^= s3;
+        s2 ^= t;
+        s3 = rotl(s3, 45);
+        return result;
+    }
+
+    /** A ziggurat candidate: a layer and a signed uniform in it. */
+    struct Candidate
+    {
+        int layer;
+        double u;
+    };
+
+    /** Layer from the low 8 bits, signed uniform in [-1, 1) from the
+     *  top 53. */
+    static Candidate
+    candidate(std::uint64_t bits)
+    {
+        return {static_cast<int>(bits &
+                                 (detail::ZigguratTables::kLayers - 1)),
+                2.0 * (static_cast<double>(bits >> 11) * 0x1.0p-53) - 1.0};
+    }
+
+    /**
+     * Finish a draw whose first candidate missed its rectangle: the
+     * tail or wedge test, then fresh candidates until one is
+     * accepted. Out of line so the callers' fast paths stay small.
+     */
+    [[gnu::noinline]] double
+    normalSlow(Candidate c)
+    {
+        const auto &z = detail::zigguratTables();
         for (;;) {
-            std::uint64_t bits = (*this)();
-            int i = static_cast<int>(bits &
-                                     (detail::ZigguratTables::kLayers - 1));
-            // Signed uniform in [-1, 1) from the top 53 bits.
-            double u =
-                2.0 * (static_cast<double>(bits >> 11) * 0x1.0p-53) - 1.0;
-            if (std::abs(u) < z.ratio[i])
-                return u * z.x[i]; // strictly inside the rectangle
-            if (i == 0) {
+            if (c.layer == 0) {
                 // Base strip overhang: exact samples from the tail
                 // beyond r (Marsaglia's exponential-rejection tail).
                 double xx, yy;
@@ -223,17 +275,20 @@ class Rng
                     xx = -std::log(unitOpen()) / z.kR;
                     yy = -std::log(unitOpen());
                 } while (yy + yy < xx * xx);
-                return u < 0 ? -(z.kR + xx) : z.kR + xx;
+                return c.u < 0 ? -(z.kR + xx) : z.kR + xx;
             }
             // Wedge between the rectangle and the density curve.
-            double x = u * z.x[i];
-            double y = z.f[i] + uniform() * (z.f[i + 1] - z.f[i]);
+            double x = c.u * z.x[c.layer];
+            double y = z.f[c.layer] +
+                       uniform() * (z.f[c.layer + 1] - z.f[c.layer]);
             if (y < std::exp(-0.5 * x * x))
                 return x;
+            c = candidate((*this)());
+            if (std::abs(c.u) < z.ratio[c.layer])
+                return c.u * z.x[c.layer];
         }
     }
 
-  private:
     /** Uniform double in (0, 1], safe as a std::log argument. */
     double
     unitOpen()

@@ -51,19 +51,26 @@ Mdu::Mdu(MduCalibration calibration, Cycle latency_cycles)
 }
 
 void
-Mdu::submitTrace(signal::Waveform trace, Cycle td, Cycle duration_cycles)
+Mdu::submitIntegral(double s, Cycle td, Cycle duration_cycles)
 {
-    if (pendingTrace)
+    if (pending)
         fatal("Mdu: a second measurement started before the previous "
-              "MD trigger consumed its trace");
-    PendingTrace pt{std::move(trace), td, duration_cycles};
+              "MD trigger consumed its readout");
+    PendingIntegral readout{s, td, duration_cycles};
     if (armedTrigger) {
         ArmedTrigger trigger = *armedTrigger;
         armedTrigger.reset();
-        process(pt, trigger);
+        process(readout, trigger);
     } else {
-        pendingTrace = std::move(pt);
+        pending = readout;
     }
+}
+
+void
+Mdu::submitTrace(const signal::Waveform &trace, Cycle td,
+                 Cycle duration_cycles)
+{
+    submitIntegral(integrate(trace).first, td, duration_cycles);
 }
 
 std::pair<double, bool>
@@ -82,28 +89,27 @@ Mdu::discriminate(Cycle td, RegIndex dest_reg, QubitMask qubit)
     if (inFlight || armedTrigger)
         fatal("Mdu: discrimination already in progress");
     ArmedTrigger trigger{td, dest_reg, qubit};
-    if (pendingTrace) {
-        PendingTrace pt = std::move(*pendingTrace);
-        pendingTrace.reset();
-        process(pt, trigger);
+    if (pending) {
+        PendingIntegral readout = *pending;
+        pending.reset();
+        process(readout, trigger);
     } else {
         armedTrigger = trigger;
     }
 }
 
 void
-Mdu::process(const PendingTrace &trace, const ArmedTrigger &trigger)
+Mdu::process(const PendingIntegral &readout, const ArmedTrigger &trigger)
 {
-    auto [s, bit] = integrate(trace.trace);
     MduResult r;
-    r.s = s;
-    r.bit = bit;
+    r.s = readout.s;
+    r.bit = readout.s > cal.threshold;
     r.destReg = trigger.destReg;
     r.qubit = trigger.qubit;
     // The result is available after the integration window has been
     // captured plus the (fixed) discrimination pipeline latency.
     Cycle windowEnd =
-        std::max(trigger.td, trace.td + trace.durationCycles);
+        std::max(trigger.td, readout.td + readout.durationCycles);
     r.completionCycle = windowEnd + latency;
     inFlight = r;
 }
@@ -131,7 +137,7 @@ Mdu::advanceTo(Cycle now)
 void
 Mdu::reset()
 {
-    pendingTrace.reset();
+    pending.reset();
     armedTrigger.reset();
     inFlight.reset();
     done = 0;

@@ -11,6 +11,11 @@
  * and the binary result is written back for feedback control. The
  * integration result Sq also feeds the data collection unit for
  * ensemble averaging.
+ *
+ * Sq is the only thing the discriminator keeps of a readout: the
+ * machine's event flow deposits it directly (the chip integrates the
+ * window on the fly, see TransmonChip::measureIntegrated), and a
+ * deposited trace is integrated on arrival.
  */
 
 #ifndef QUMA_MEASURE_MDU_HH
@@ -61,10 +66,10 @@ struct MduResult
 /**
  * One measurement discrimination unit instance (per qubit).
  *
- * Event-driven usage: the machine deposits the digitised trace when
- * the measurement pulse fires, the MD event starts discrimination,
- * and the result is delivered after the integration window plus the
- * discrimination latency.
+ * Event-driven usage: the machine deposits the integration result S
+ * when the measurement pulse fires, the MD event starts
+ * discrimination, and the result is delivered after the integration
+ * window plus the discrimination latency.
  */
 class Mdu
 {
@@ -78,19 +83,25 @@ class Mdu
 
     void setResultSink(ResultSink sink) { resultSink = std::move(sink); }
 
-    /** Deposit the digitised trace of an in-flight measurement. */
-    void submitTrace(signal::Waveform trace, Cycle td,
+    /**
+     * Deposit the integration result S of an in-flight measurement
+     * whose window starts at td and lasts duration_cycles.
+     */
+    void submitIntegral(double s, Cycle td, Cycle duration_cycles);
+
+    /** Deposit a digitised trace: integrate() it, then submitIntegral. */
+    void submitTrace(const signal::Waveform &trace, Cycle td,
                      Cycle duration_cycles);
 
-    /** True while a submitted trace awaits its MD trigger. */
-    bool hasPendingTrace() const { return pendingTrace.has_value(); }
+    /** True while a submitted readout awaits its MD trigger. */
+    bool hasPendingTrace() const { return pending.has_value(); }
 
     /**
-     * MD trigger. If the digitised trace has already arrived it is
-     * integrated immediately; otherwise the discriminator is ARMED
-     * and fires when submitTrace delivers the window (the MD trigger
-     * and the measurement pulse fire at the same timing label, but
-     * the analog path has its own latency).
+     * MD trigger. If the readout has already arrived it is
+     * discriminated immediately; otherwise the discriminator is ARMED
+     * and fires when submitIntegral delivers the window (the MD
+     * trigger and the measurement pulse fire at the same timing
+     * label, but the analog path has its own latency).
      */
     void discriminate(Cycle td, RegIndex dest_reg, QubitMask qubit);
 
@@ -106,7 +117,7 @@ class Mdu
     std::size_t discriminationsDone() const { return done; }
 
     /**
-     * Drop any pending trace / armed trigger / in-flight result and
+     * Drop any pending readout / armed trigger / in-flight result and
      * zero the counters; the calibration is preserved (machine
      * re-arm).
      */
@@ -117,9 +128,9 @@ class Mdu
     Cycle latency;
     ResultSink resultSink;
 
-    struct PendingTrace
+    struct PendingIntegral
     {
-        signal::Waveform trace;
+        double s;
         Cycle td;
         Cycle durationCycles;
     };
@@ -130,9 +141,10 @@ class Mdu
         QubitMask qubit;
     };
 
-    void process(const PendingTrace &trace, const ArmedTrigger &trigger);
+    void process(const PendingIntegral &readout,
+                 const ArmedTrigger &trigger);
 
-    std::optional<PendingTrace> pendingTrace;
+    std::optional<PendingIntegral> pending;
     std::optional<ArmedTrigger> armedTrigger;
     std::optional<MduResult> inFlight;
     std::size_t done = 0;

@@ -37,17 +37,29 @@ struct ReadoutParams
     double adcRateHz = kAdcSampleRateHz;
 };
 
-/** A digitised readout trace plus ground-truth bookkeeping. */
-struct ReadoutTrace
+/** Ground truth of one readout window. */
+struct ReadoutOutcome
 {
-    /** IF trace as seen by the master controller's ADC. */
-    signal::Waveform trace;
     /** True qubit state at the start of the readout window. */
     bool initialOne = false;
     /** True qubit state at the end of the window (after T1 decay). */
     bool finalOne = false;
     /** Decay instant within the window (ns from start), or -1. */
     double decayAtNs = -1.0;
+};
+
+/** A digitised readout trace plus ground-truth bookkeeping. */
+struct ReadoutTrace : ReadoutOutcome
+{
+    /** IF trace as seen by the master controller's ADC. */
+    signal::Waveform trace;
+};
+
+/** A readout integrated against MDU weights, with its ground truth. */
+struct ReadoutIntegral : ReadoutOutcome
+{
+    /** S = sum_k Va(k) * W(k) over min(samples, weights) samples. */
+    double s = 0.0;
 };
 
 /**
@@ -61,12 +73,43 @@ struct ReadoutTrace
  * window's gaussians up front, then a vectorizable add) -- the RNG
  * stream and draw order are identical to a per-sample loop, so the
  * trace is bit-identical either way. `noise_scratch`, when given,
- * holds the batch buffer so repeated readouts on one chip stay
- * allocation-free.
+ * holds the noise buffer across calls; the trace itself is a fresh
+ * allocation per call. This is the trace-level path for tests and
+ * figures; the machine uses integrateReadout().
  */
 ReadoutTrace simulateReadout(const ReadoutParams &params, bool initial_one,
                              TimeNs duration_ns, double t1_ns, Rng &rng,
                              std::vector<double> *noise_scratch = nullptr);
+
+/**
+ * The noiseless |0> and |1> IF levels of the first n samples of a
+ * readout window, Re(c0 * phasor_k) and Re(c1 * phasor_k): exactly
+ * the values simulateReadout() computes sample by sample. They depend
+ * only on the response, not on the shot, so a chip builds them once.
+ */
+struct ReadoutTone
+{
+    std::vector<double> level0;
+    std::vector<double> level1;
+};
+
+ReadoutTone readoutTone(const ReadoutParams &params, std::size_t n);
+
+/**
+ * The readout the MDU sees, without the trace: the same draws as
+ * simulateReadout() (decay, then all n noise samples), and S summed
+ * in the same order as Mdu::integrate() over that trace, so S is
+ * bit-identical to integrating the simulated trace. `tone` must be
+ * readoutTone(params, ...) covering min(n, weights.size()) samples.
+ * Allocation-free once `noise_scratch` has grown to the window's
+ * sample count.
+ */
+ReadoutIntegral integrateReadout(const ReadoutParams &params,
+                                 const ReadoutTone &tone, bool initial_one,
+                                 TimeNs duration_ns, double t1_ns,
+                                 Rng &rng,
+                                 const std::vector<double> &weights,
+                                 std::vector<double> &noise_scratch);
 
 } // namespace quma::qsim
 

@@ -21,7 +21,7 @@ TransmonChip::TransmonChip(std::vector<TransmonParams> qubit_params,
       roundDetuningHz(params.size(), 0.0),
       busyUntilNs(params.size(), 0),
       rho(params.empty() ? 1 : static_cast<unsigned>(params.size())),
-      random(seed)
+      random(seed), readoutTones(params.size())
 {
     if (params.empty())
         fatal("TransmonChip needs at least one qubit");
@@ -153,8 +153,10 @@ TransmonChip::applyCz(unsigned a, unsigned b, TimeNs t0_ns,
     advanceAtLeast(t0_ns + duration_ns);
 }
 
-ReadoutTrace
-TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
+template <class Synthesize>
+auto
+TransmonChip::measureWith(unsigned q, TimeNs t0_ns, TimeNs duration_ns,
+                          Synthesize synthesize)
 {
     quma_assert(q < params.size(), "qubit index out of range");
     if (t0_ns < busyUntilNs[q])
@@ -168,14 +170,13 @@ TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
     rho.project(q, outcome);
 
     const TransmonParams &p = params[q];
-    ReadoutTrace trace = simulateReadout(p.readout, outcome, duration_ns,
-                                         p.t1Ns, random, &noiseScratch);
+    auto readout = synthesize(p, outcome);
 
     // The measured qubit's state at the end of the window is decided
-    // by the sampled trace (T1 decay included); decoherence inside
+    // by the sampled readout (T1 decay included); decoherence inside
     // the window is suppressed via busyUntilNs so it is not applied
     // twice. Other qubits idle normally as time advances.
-    if (trace.initialOne && !trace.finalOne)
+    if (readout.initialOne && !readout.finalOne)
         rho.resetQubit(q);
     busyUntilNs[q] = t0_ns + duration_ns;
 
@@ -185,7 +186,36 @@ TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
     double sigma = p.quasiStaticDetuningSigmaHz;
     if (sigma > 0)
         roundDetuningHz[q] = random.gaussian(0.0, sigma);
-    return trace;
+    return readout;
+}
+
+ReadoutTrace
+TransmonChip::measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns)
+{
+    return measureWith(q, t0_ns, duration_ns,
+                       [&](const TransmonParams &p, bool outcome) {
+                           return simulateReadout(p.readout, outcome,
+                                                  duration_ns, p.t1Ns,
+                                                  random, &noiseScratch);
+                       });
+}
+
+ReadoutIntegral
+TransmonChip::measureIntegrated(unsigned q, TimeNs t0_ns,
+                                TimeNs duration_ns,
+                                const std::vector<double> &weights)
+{
+    return measureWith(q, t0_ns, duration_ns,
+                       [&](const TransmonParams &p, bool outcome) {
+                           ReadoutTone &tone = readoutTones[q];
+                           if (tone.level0.size() < weights.size())
+                               tone = readoutTone(p.readout,
+                                                  weights.size());
+                           return integrateReadout(p.readout, tone,
+                                                   outcome, duration_ns,
+                                                   p.t1Ns, random,
+                                                   weights, noiseScratch);
+                       });
 }
 
 double

@@ -118,6 +118,19 @@ class TransmonChip
      */
     ReadoutTrace measure(unsigned q, TimeNs t0_ns, TimeNs duration_ns);
 
+    /**
+     * measure() as the MDU sees it: the same projection, window and
+     * random draws, but the IF trace is integrated against `weights`
+     * on the fly instead of being built. The returned S is
+     * bit-identical to integrating measure()'s trace with
+     * Mdu::integrate(), and the chip ends in the same state.
+     * Allocation-free after the first call with a given weight
+     * vector and window length.
+     */
+    ReadoutIntegral measureIntegrated(unsigned q, TimeNs t0_ns,
+                                      TimeNs duration_ns,
+                                      const std::vector<double> &weights);
+
     /** Probability of |1> right now (diagnostic; not a measurement). */
     double probabilityOne(unsigned q) const;
 
@@ -130,6 +143,17 @@ class TransmonChip
   private:
     void idleEvolve(TimeNs from_ns, TimeNs to_ns);
 
+    /**
+     * The chip side of a readout, shared by measure() and
+     * measureIntegrated(): project qubit q, let `synthesize(params,
+     * outcome)` produce the window (T1 decay included), then apply
+     * the decay to the state, mark the window busy and redraw the
+     * quasi-static detuning.
+     */
+    template <class Synthesize>
+    auto measureWith(unsigned q, TimeNs t0_ns, TimeNs duration_ns,
+                     Synthesize synthesize);
+
     std::vector<TransmonParams> params;
     std::vector<double> roundDetuningHz;
     /**
@@ -141,9 +165,13 @@ class TransmonChip
     DensityMatrix rho;
     Rng random;
     TimeNs nowNs = 0;
-    /** Batched readout-noise buffer, reused across measurements so
-     *  the per-shot readout path stays allocation-free. */
+    /** Batched readout-noise buffer, reused across measurements:
+     *  measureIntegrated() then allocates nothing, while measure()
+     *  still allocates its trace. */
     std::vector<double> noiseScratch;
+    /** Per-qubit noiseless readout levels for measureIntegrated(),
+     *  grown to the weight vector's length on first use. */
+    std::vector<ReadoutTone> readoutTones;
 };
 
 /**

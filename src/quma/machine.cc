@@ -327,10 +327,12 @@ QumaMachine::onMeasurementPulse(unsigned qubit,
     quma_assert(qubit < mdus.size(), "measurement of unknown qubit");
     Cycle td = nsToCycles(pulse.t0Ns);
     Cycle dur = nsToCycles(pulse.durationNs);
-    auto trace = chipSim->measure(qubit, pulse.t0Ns, pulse.durationNs);
-    recorder.recordMeasurement({td, qubit, dur, trace.initialOne});
+    measure::Mdu &unit = *mdus[qubit];
+    auto readout = chipSim->measureIntegrated(
+        qubit, pulse.t0Ns, pulse.durationNs, unit.calibration().weights);
+    recorder.recordMeasurement({td, qubit, dur, readout.initialOne});
     wokenMask |= std::uint64_t{1} << srcMdu(qubit);
-    mdus[qubit]->submitTrace(std::move(trace.trace), td, dur);
+    unit.submitIntegral(readout.s, td, dur);
 }
 
 void

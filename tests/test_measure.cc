@@ -1,16 +1,24 @@
 /**
  * @file
  * Unit tests for the measurement subsystem: MDU calibration and
- * discrimination, trigger/trace ordering, the digital output unit,
- * and the data collection unit.
+ * discrimination, trigger/trace ordering, the fused readout path
+ * against the trace path, the digital output unit, and the data
+ * collection unit.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <numbers>
+#include <optional>
 
 #include "common/logging.hh"
 #include "measure/datacollector.hh"
 #include "measure/digitaloutput.hh"
 #include "measure/mdu.hh"
+#include "qsim/gates.hh"
+#include "qsim/transmon.hh"
 
 namespace quma::measure {
 namespace {
@@ -135,6 +143,125 @@ TEST(Mdu, DoubleTraceIsFatal)
     EXPECT_THROW(mdu.submitTrace(t.trace, 400, 300),
                  quma::FatalError);
     setLogQuiet(false);
+}
+
+TEST(Mdu, SubmitIntegralMatchesSubmitTrace)
+{
+    auto rp = cleanReadout();
+    rp.noiseSigma = 20.0;
+    Rng rng(0x51);
+    auto t = qsim::simulateReadout(rp, true, 1500, 1e12, rng);
+    Mdu viaTrace(calibrateMdu(rp, 1500));
+    Mdu viaIntegral(calibrateMdu(rp, 1500));
+    std::optional<MduResult> a, b;
+    viaTrace.setResultSink([&](const MduResult &r) { a = r; });
+    viaIntegral.setResultSink([&](const MduResult &r) { b = r; });
+    viaTrace.submitTrace(t.trace, 1000, 300);
+    viaIntegral.submitIntegral(viaIntegral.integrate(t.trace).first, 1000,
+                               300);
+    EXPECT_TRUE(viaIntegral.hasPendingTrace());
+    viaTrace.discriminate(1000, 7, 1);
+    viaIntegral.discriminate(1000, 7, 1);
+    viaTrace.advanceTo(2000);
+    viaIntegral.advanceTo(2000);
+    ASSERT_TRUE(a && b);
+    EXPECT_EQ(a->s, b->s);
+    EXPECT_EQ(a->bit, b->bit);
+    EXPECT_EQ(a->completionCycle, b->completionCycle);
+}
+
+// --------------------------------------------------------- fused readout
+
+/**
+ * Drive two identically seeded chips through the same readouts, one
+ * via measure() + Mdu::integrate and one via measureIntegrated().
+ * After every shot S must match bit for bit, along with the ground
+ * truth, the qubit state and the chip's RNG state. Each round
+ * rotates the qubit by `theta` about x and reads it out, twice, with
+ * an idle gap between the windows.
+ */
+struct FusedRun
+{
+    int shots = 0;
+    int ones = 0;
+    int decays = 0;
+};
+
+FusedRun
+compareFusedReadout(const qsim::TransmonParams &qp, double theta,
+                    TimeNs window_ns, TimeNs cal_window_ns, int rounds)
+{
+    qsim::TransmonChip traced({qp}, 0xfeed), fused({qp}, 0xfeed);
+    Mdu mdu(calibrateMdu(qp.readout, cal_window_ns));
+    const std::vector<double> &weights = mdu.calibration().weights;
+    FusedRun run;
+    for (int round = 0; round < rounds; ++round) {
+        traced.newRound();
+        fused.newRound();
+        TimeNs t0 = 100;
+        for (int readout = 0; readout < 2; ++readout) {
+            traced.state().apply1(0, qsim::gates::rx(theta));
+            fused.state().apply1(0, qsim::gates::rx(theta));
+            auto tr = traced.measure(0, t0, window_ns);
+            auto fr = fused.measureIntegrated(0, t0, window_ns, weights);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(fr.s),
+                      std::bit_cast<std::uint64_t>(
+                          mdu.integrate(tr.trace).first))
+                << "round " << round << " readout " << readout;
+            EXPECT_EQ(fr.initialOne, tr.initialOne);
+            EXPECT_EQ(fr.finalOne, tr.finalOne);
+            EXPECT_EQ(fr.decayAtNs, tr.decayAtNs);
+            EXPECT_EQ(fused.probabilityOne(0), traced.probabilityOne(0));
+            EXPECT_TRUE(fused.rng() == traced.rng());
+            ++run.shots;
+            run.ones += fr.initialOne;
+            run.decays += fr.decayAtNs >= 0;
+            t0 += window_ns + 2000;
+        }
+    }
+    return run;
+}
+
+TEST(FusedReadout, MatchesTracePathFromZeroAndOne)
+{
+    auto qp = qsim::paperQubitParams();
+    FusedRun zero = compareFusedReadout(qp, 0.0, 1500, 1500, 10);
+    EXPECT_EQ(zero.ones, 0);
+    FusedRun one =
+        compareFusedReadout(qp, std::numbers::pi, 1500, 1500, 10);
+    EXPECT_GT(one.ones, 0);
+    FusedRun mixed =
+        compareFusedReadout(qp, std::numbers::pi / 2, 1500, 1500, 20);
+    EXPECT_GT(mixed.ones, 0);
+    EXPECT_LT(mixed.ones, mixed.shots);
+}
+
+TEST(FusedReadout, MatchesTracePathWithDecayInWindow)
+{
+    auto qp = qsim::paperQubitParams();
+    qp.t1Ns = 800.0;
+    qp.t2Ns = 800.0;
+    FusedRun run =
+        compareFusedReadout(qp, std::numbers::pi, 1500, 1500, 20);
+    EXPECT_GT(run.decays, 0);
+    EXPECT_LT(run.decays, run.ones);
+}
+
+TEST(FusedReadout, MatchesTracePathForWindowsShorterAndLongerThanWeights)
+{
+    auto qp = qsim::paperQubitParams();
+    // 300 weights against windows of 200 and 500 samples.
+    compareFusedReadout(qp, std::numbers::pi / 2, 1000, 1500, 10);
+    compareFusedReadout(qp, std::numbers::pi / 2, 2500, 1500, 10);
+}
+
+TEST(FusedReadout, MatchesTracePathWithQuasiStaticDetuning)
+{
+    auto qp = qsim::paperQubitParams();
+    qp.quasiStaticDetuningSigmaHz = 2.0e6;
+    FusedRun run =
+        compareFusedReadout(qp, std::numbers::pi / 2, 1500, 1500, 20);
+    EXPECT_GT(run.ones, 0);
 }
 
 // --------------------------------------------------------- digital output

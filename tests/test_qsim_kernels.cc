@@ -5,13 +5,15 @@
  * idle/diagonal fast paths must agree with naive matrix references and
  * the generic Kraus machinery to 1e-12; the phasor-recurrence signal
  * chain must match direct per-sample sin/cos loops; the ziggurat
- * gaussian must produce standard-normal statistics; and none of the
- * steady-state kernels may touch the heap.
+ * gaussian must produce standard-normal statistics, and its batched
+ * fill the per-draw stream bit for bit; and none of the steady-state
+ * kernels (the integrated readout path included) may touch the heap.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
@@ -550,6 +552,48 @@ TEST(ZigguratGaussian, DeterministicInSeed)
     EXPECT_TRUE(differs);
 }
 
+TEST(ZigguratGaussian, FillMatchesPerDrawStreamBitForBit)
+{
+    const auto &z = detail::zigguratTables();
+    Rng perDraw(0x1708077), batched(0x1708077);
+    std::vector<double> buf;
+    std::size_t total = 0, wedges = 0, tails = 0, beyondR = 0;
+    // Empty, single, odd and readout-window-sized fills, so the
+    // engine state is handed back at every kind of boundary.
+    const std::size_t chunks[] = {0, 1, 7, 300, 4096, 65536};
+    while (total < 1000000) {
+        for (std::size_t n : chunks) {
+            buf.resize(n);
+            batched.fillStandardNormal(buf.data(), n);
+            for (std::size_t k = 0; k < n; ++k) {
+                // Classify the draw by its first ziggurat candidate.
+                Rng probe = perDraw;
+                std::uint64_t bits = probe();
+                int layer = static_cast<int>(
+                    bits & (detail::ZigguratTables::kLayers - 1));
+                double u =
+                    2.0 * (static_cast<double>(bits >> 11) * 0x1.0p-53) -
+                    1.0;
+                if (std::abs(u) >= z.ratio[layer])
+                    ++(layer == 0 ? tails : wedges);
+
+                double v = perDraw.standardNormal();
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(v),
+                          std::bit_cast<std::uint64_t>(buf[k]))
+                    << "draw " << total + k;
+                if (std::abs(v) > detail::ZigguratTables::kR)
+                    ++beyondR;
+            }
+            total += n;
+            ASSERT_TRUE(perDraw == batched) << "after " << total;
+        }
+    }
+    // Both slow branches were exercised, not just the rectangles.
+    EXPECT_GT(wedges, 1000u);
+    EXPECT_GT(tails, 10u);
+    EXPECT_GT(beyondR, 10u);
+}
+
 // -------------------------------------------------------- zero allocation
 
 TEST(Allocation, SteadyStateDensityKernelsDoNotAllocate)
@@ -585,6 +629,45 @@ TEST(Allocation, IdleEvolutionPathDoesNotAllocate)
     chip.advanceTo(20000);
     g_countAllocs.store(false);
     EXPECT_EQ(g_allocCount.load(), 0u);
+}
+
+TEST(Allocation, IntegratedReadoutPathDoesNotAllocate)
+{
+    TransmonChip chip({paperQubitParams(), paperQubitParams()});
+    measure::Mdu mdu(measure::calibrateMdu(paperQubitParams().readout,
+                                           1500));
+    const std::vector<double> &weights = mdu.calibration().weights;
+    std::size_t results = 0;
+    mdu.setResultSink([&](const measure::MduResult &) { ++results; });
+    chip.newRound();
+    // Warm-up: sizes the chip's noise buffer and both qubits' tones.
+    for (unsigned q = 0; q < 2; ++q) {
+        auto warm = chip.measureIntegrated(q, 100, 1500, weights);
+        mdu.submitIntegral(warm.s, 25, 300);
+        mdu.discriminate(25, 7, 1);
+        mdu.advanceTo(1000);
+    }
+
+    g_allocCount.store(0);
+    g_countAllocs.store(true);
+    for (TimeNs shot = 1; shot <= 4; ++shot) {
+        TimeNs t0 = shot * 2000;
+        Cycle td = static_cast<Cycle>(t0 / 5);
+        auto q = static_cast<unsigned>(shot % 2);
+        auto r = chip.measureIntegrated(q, t0, 1500, weights);
+        // Both arrival orders: readout first, then trigger first.
+        if (q == 1) {
+            mdu.submitIntegral(r.s, td, 300);
+            mdu.discriminate(td, 7, 1);
+        } else {
+            mdu.discriminate(td, 7, 1);
+            mdu.submitIntegral(r.s, td, 300);
+        }
+        mdu.advanceTo(td + 1000);
+    }
+    g_countAllocs.store(false);
+    EXPECT_EQ(g_allocCount.load(), 0u);
+    EXPECT_EQ(results, 6u);
 }
 
 } // namespace
