@@ -144,14 +144,13 @@ QumaClient::readerLoop()
 {
     try {
         for (;;) {
-            std::uint8_t header[kFrameHeaderBytes];
-            if (!stream->recvAll(header, sizeof(header)))
+            // Strict: a client speaks exactly kWireVersion.
+            std::optional<Frame> frame =
+                readFrame(*stream, kWireVersion);
+            if (!frame)
                 throw WireError("server hung up");
-            FrameHeader fh = decodeFrameHeader(header);
-            std::vector<std::uint8_t> body(fh.length);
-            if (fh.length > 0 &&
-                !stream->recvAll(body.data(), body.size()))
-                throw WireError("connection closed mid-frame");
+            const FrameHeader &fh = frame->header;
+            std::vector<std::uint8_t> &body = frame->payload;
 
             if (fh.type == MsgType::ProgressFrame) {
                 // Server-push progress: routed by the await's
@@ -162,7 +161,7 @@ QumaClient::readerLoop()
                 std::shared_ptr<const ProgressFn> handler;
                 {
                     std::lock_guard<std::mutex> lock(mu);
-                    meter.record(sizeof(header) + body.size(),
+                    meter.record(kFrameHeaderBytes + body.size(),
                                  false);
                     auto it = progressHandlers.find(fh.requestId);
                     if (it != progressHandlers.end())
@@ -184,7 +183,7 @@ QumaClient::readerLoop()
             }
 
             std::lock_guard<std::mutex> lock(mu);
-            meter.record(sizeof(header) + body.size(), false);
+            meter.record(kFrameHeaderBytes + body.size(), false);
             ms.repliesReceived.inc();
             if (fh.requestId == kConnectionRequestId) {
                 // A frame answering no request is the server talking
@@ -244,7 +243,8 @@ QumaClient::abandonSlots(const std::uint64_t *rids,
 }
 
 std::uint64_t
-QumaClient::sendRequest(MsgType type, const Writer &payload) const
+QumaClient::sendRequest(MsgType type, const Writer &payload,
+                        std::shared_ptr<const ProgressFn> progress) const
 {
     std::uint64_t rid;
     {
@@ -253,6 +253,10 @@ QumaClient::sendRequest(MsgType type, const Writer &payload) const
             throw WireError("connection is down: " + readerFailure);
         rid = nextRequestId++;
         slots.emplace(rid, Slot{});
+        // Before the request leaves: no push answering it can reach
+        // the reader ahead of its handler.
+        if (progress)
+            progressHandlers.emplace(rid, std::move(progress));
     }
     std::vector<std::uint8_t> frame = sealFrame(type, rid, payload);
     try {
@@ -263,6 +267,7 @@ QumaClient::sendRequest(MsgType type, const Writer &payload) const
     } catch (...) {
         std::lock_guard<std::mutex> lock(mu);
         slots.erase(rid);
+        progressHandlers.erase(rid);
         throw;
     }
     std::lock_guard<std::mutex> lock(mu);
@@ -556,16 +561,8 @@ QumaClient::awaitStreaming(
     for (runtime::JobId id : ids) {
         Writer w;
         w.u64(id);
-        const std::uint64_t rid =
-            sendRequest(MsgType::AwaitRequest, w);
-        if (progressShared) {
-            // Registered after the request leaves: a push racing
-            // this window is dropped by the reader, which is fine
-            // under the best-effort progress contract.
-            std::lock_guard<std::mutex> lock(mu);
-            progressHandlers.emplace(rid, progressShared);
-        }
-        pending.emplace(rid, id);
+        pending.emplace(
+            sendRequest(MsgType::AwaitRequest, w, progressShared), id);
     }
     // On any throw below (error reply, decode failure, a throwing
     // deliver callback), the outstanding awaits must not leak.

@@ -32,30 +32,6 @@ hashKey(const std::string &s)
     return mix64(h);
 }
 
-/**
- * sealFrame for payloads that are already raw bytes: the forwarding
- * path must not re-encode what it routes (byte-identity through the
- * gateway is the point), so frames are re-sealed around the original
- * payload bytes with only the header's requestId/version changed.
- */
-std::vector<std::uint8_t>
-sealRaw(MsgType type, std::uint64_t request_id,
-        const std::vector<std::uint8_t> &payload,
-        std::uint16_t version)
-{
-    if (payload.size() > kMaxPayloadBytes)
-        throw WireError("payload exceeds the frame size cap");
-    Writer header;
-    header.u32(kWireMagic);
-    header.u16(version);
-    header.u16(static_cast<std::uint16_t>(type));
-    header.u32(static_cast<std::uint32_t>(payload.size()));
-    header.u64(request_id);
-    std::vector<std::uint8_t> frame = header.bytes();
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    return frame;
-}
-
 /** The gateway's ClockSync timebase (steady, epoch = first use). */
 std::uint64_t
 gatewayNowNanos()
@@ -136,60 +112,16 @@ tcpBackend(const std::string &host, std::uint16_t port)
     return b;
 }
 
-// --- Outbox -----------------------------------------------------------------
-
-bool
-QumaGateway::Outbox::push(std::vector<std::uint8_t> frame)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (closed)
-            return false;
-        if (frames.size() >= limit) {
-            // Slow-consumer overflow, same contract as the server's
-            // outbox: drop the backlog and let the writer tear the
-            // connection down.
-            closed = true;
-            frames.clear();
-            cv.notify_all();
-            return false;
-        }
-        frames.push_back(std::move(frame));
-    }
-    cv.notify_all();
-    return true;
-}
-
-std::optional<std::vector<std::uint8_t>>
-QumaGateway::Outbox::pop()
-{
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return closed || !frames.empty(); });
-    if (closed)
-        return std::nullopt;
-    std::vector<std::uint8_t> frame = std::move(frames.front());
-    frames.pop_front();
-    cv.notify_all(); // wake a drain waiter watching the queue empty
-    return frame;
-}
-
-void
-QumaGateway::Outbox::close()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        closed = true;
-        frames.clear();
-    }
-    cv.notify_all();
-}
-
 // --- construction / lifecycle -----------------------------------------------
 
 QumaGateway::QumaGateway(std::vector<GatewayBackend> backend_list,
                          std::unique_ptr<Listener> listener_in,
                          GatewayConfig config)
-    : cfg(config), listener(std::move(listener_in))
+    : cfg(config),
+      host(std::move(listener_in),
+           [this](std::unique_ptr<ByteStream> stream, std::size_t) {
+               return std::make_shared<Conn>(*this, std::move(stream));
+           })
 {
     if (backend_list.empty())
         fatal("QumaGateway needs at least one backend");
@@ -204,69 +136,28 @@ QumaGateway::QumaGateway(std::vector<GatewayBackend> backend_list,
     // out of the rotation from the first client frame.
     for (auto &b : backends)
         refreshBackend(*b);
-    acceptor = std::thread([this] { acceptLoop(); });
+    host.start();
     health = std::thread([this] { healthLoop(); });
 }
 
 QumaGateway::~QumaGateway() { stop(); }
 
-bool
-QumaGateway::stopping() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return stopped;
-}
-
 void
 QumaGateway::stop()
 {
+    host.stop();
     {
-        std::lock_guard<std::mutex> lock(mu);
-        stopped = true;
+        // Taken so the health loop cannot miss this wakeup between
+        // its stop check and its wait.
+        std::lock_guard<std::mutex> lock(healthMu);
     }
     cvHealth.notify_all();
-    listener->close();
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        for (auto &c : conns) {
-            {
-                std::lock_guard<std::mutex> lk(c->mu);
-                c->closing = true;
-            }
-            c->cvFlow.notify_all();
-            c->stream->close();
-            c->outbox.close();
-        }
-    }
-    if (acceptor.joinable())
-        acceptor.join();
     if (health.joinable())
         health.join();
-    reapConnections(true);
     for (auto &b : backends) {
         std::lock_guard<std::mutex> lock(b->controlMu);
         b->control.reset();
     }
-}
-
-void
-QumaGateway::reapConnections(bool join_all)
-{
-    std::vector<std::unique_ptr<Conn>> dead;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        for (auto it = conns.begin(); it != conns.end();) {
-            if (join_all || (*it)->finished) {
-                dead.push_back(std::move(*it));
-                it = conns.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-    for (auto &c : dead)
-        if (c->reader.joinable())
-            c->reader.join();
 }
 
 bool
@@ -330,9 +221,9 @@ QumaGateway::healthLoop()
         {
             std::unique_lock<std::mutex> lock(healthMu);
             cvHealth.wait_for(lock, cfg.healthInterval,
-                              [this] { return stopping(); });
+                              [this] { return host.stopping(); });
         }
-        if (stopping())
+        if (host.stopping())
             return;
         for (auto &b : backends)
             refreshBackend(*b);
@@ -400,81 +291,55 @@ QumaGateway::backendSaturated(std::size_t index)
                cfg.shedPoolWaitSeconds;
 }
 
-// --- accept / client side ---------------------------------------------------
+// --- client connections -----------------------------------------------------
 
-void
-QumaGateway::acceptLoop()
+QumaGateway::Conn::Conn(QumaGateway &gateway_,
+                        std::unique_ptr<ByteStream> stream)
+    : FrameConn(std::move(stream), gateway_.cfg.maxQueuedReplyFrames),
+      gateway(gateway_)
 {
-    for (;;) {
-        std::unique_ptr<ByteStream> stream = listener->accept();
-        if (!stream)
-            return;
-        reapConnections(false);
-        auto conn = std::make_unique<Conn>();
-        conn->stream = std::move(stream);
-        conn->outbox.limit = cfg.maxQueuedReplyFrames;
-        Conn *cp = conn.get();
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            if (stopped) {
-                conn->stream->close();
-                return;
-            }
-            conns.push_back(std::move(conn));
-        }
-        connectionsAccepted.fetch_add(1, std::memory_order_relaxed);
-        cp->reader = std::thread([this, cp] { serveClient(*cp); });
-    }
 }
 
 void
-QumaGateway::writerLoop(Conn &conn)
+QumaGateway::Conn::close()
 {
-    for (;;) {
-        std::optional<std::vector<std::uint8_t>> frame =
-            conn.outbox.pop();
-        if (!frame)
-            break;
-        try {
-            conn.stream->sendAll(frame->data(), frame->size());
-        } catch (const std::exception &) {
-            break;
-        }
-    }
-    conn.outbox.close();
-    conn.stream->close();
-}
-
-void
-QumaGateway::serveClient(Conn &conn)
-{
-    std::thread writer([this, &conn] { writerLoop(conn); });
-    try {
-        while (serveClientFrame(conn)) {
-        }
-    } catch (const std::exception &) {
-        // Dead client mid-frame: same teardown as a clean EOF.
-    }
     {
-        std::lock_guard<std::mutex> lock(conn.mu);
-        conn.closing = true;
+        std::lock_guard<std::mutex> lock(mu);
+        closing = true;
     }
-    conn.cvFlow.notify_all();
-    conn.stream->close();
-    conn.outbox.close();
-    // Close every backend link and join its reader. Readers retire
-    // themselves (links -> retired) on the way out, and a reader
-    // mid-failover may still create a link after `closing` was set
-    // in a narrow race -- hence the loop until both sets are empty.
+    cvFlow.notify_all();
+    FrameConn::close();
+}
+
+bool
+QumaGateway::Conn::serve(Frame frame)
+{
+    return gateway.serveClientFrame(*this, std::move(frame));
+}
+
+void
+QumaGateway::Conn::refuse(const WireVersionError &ex)
+{
+    gateway.queueError(*this, kConnectionRequestId, kWireVersion,
+                       WireErrorCode::VersionMismatch, ex.what());
+}
+
+void
+QumaGateway::Conn::onClosed()
+{
+    // Readers retire themselves (links -> retired) on the way out,
+    // and a reader mid-failover may still create a link after
+    // `closing` was set in a narrow race -- hence the loop until
+    // both sets are empty.
     for (;;) {
         bool liveLinks;
         std::vector<std::shared_ptr<BackendLink>> to_join;
         {
-            std::lock_guard<std::mutex> lock(conn.linkMu);
-            for (auto &kv : conn.links)
+            std::lock_guard<std::mutex> lock(linkMu);
+            for (auto &kv : links)
                 kv.second->stream->close();
-            liveLinks = !conn.links.empty();
-            to_join.swap(conn.retired);
+            liveLinks = !links.empty();
+            to_join.swap(retired);
         }
         for (auto &l : to_join)
             if (l->reader.joinable())
@@ -483,18 +348,13 @@ QumaGateway::serveClient(Conn &conn)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    writer.join();
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        conn.finished = true;
-    }
 }
 
 void
 QumaGateway::queueFrame(Conn &conn, MsgType type, std::uint64_t rid,
                         std::uint16_t version, const Writer &payload)
 {
-    conn.outbox.push(sealFrame(type, rid, payload, version));
+    conn.push(sealFrame(type, rid, payload, version));
 }
 
 void
@@ -507,8 +367,7 @@ QumaGateway::queueError(Conn &conn, std::uint64_t rid,
     errorsReturned.fetch_add(1, std::memory_order_relaxed);
     Writer w;
     encodeErrorFrame(w, {code, message});
-    conn.outbox.push(
-        sealFrame(MsgType::ErrorReply, rid, w, version));
+    conn.push(sealFrame(MsgType::ErrorReply, rid, w, version));
 }
 
 void
@@ -548,34 +407,11 @@ QumaGateway::releaseFlowSlot(Conn &conn)
 }
 
 bool
-QumaGateway::serveClientFrame(Conn &conn)
+QumaGateway::serveClientFrame(Conn &conn, Frame frame)
 {
-    // Same defensive framing as the server: validate the shared
-    // prefix before trusting the version-specific remainder.
-    std::uint8_t header[kFrameHeaderBytes];
-    if (!conn.stream->recvAll(header, kFrameHeaderPrefixBytes))
-        return false; // clean EOF between frames
-    std::uint16_t version;
-    try {
-        version = checkFramePrefixCompat(header);
-        conn.peerVersion.store(version, std::memory_order_relaxed);
-    } catch (const WireVersionError &ex) {
-        queueError(conn, kConnectionRequestId, kWireVersion,
-                   WireErrorCode::VersionMismatch, ex.what());
-        // Give the writer a moment to flush the farewell frame.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        return false;
-    }
-    if (!conn.stream->recvAll(header + kFrameHeaderPrefixBytes,
-                              kFrameHeaderBytes -
-                                  kFrameHeaderPrefixBytes))
-        throw WireError("connection closed mid-header");
-    FrameHeader fh = decodeFrameHeaderUnchecked(header);
-    std::vector<std::uint8_t> payload(fh.length);
-    if (fh.length > 0 &&
-        !conn.stream->recvAll(payload.data(), payload.size()))
-        throw WireError("connection closed mid-frame");
-
+    const std::uint16_t version = frame.version;
+    const FrameHeader &fh = frame.header;
+    std::vector<std::uint8_t> &payload = frame.payload;
     const std::uint64_t rid = fh.requestId;
     try {
         switch (fh.type) {
@@ -704,24 +540,9 @@ QumaGateway::linkReaderLoop(Conn &conn,
                             std::shared_ptr<BackendLink> link)
 {
     try {
-        for (;;) {
-            std::uint8_t header[kFrameHeaderBytes];
-            if (!link->stream->recvAll(header,
-                                       kFrameHeaderPrefixBytes))
-                break;
-            checkFramePrefixCompat(header);
-            if (!link->stream->recvAll(
-                    header + kFrameHeaderPrefixBytes,
-                    kFrameHeaderBytes - kFrameHeaderPrefixBytes))
-                break;
-            FrameHeader fh = decodeFrameHeaderUnchecked(header);
-            std::vector<std::uint8_t> payload(fh.length);
-            if (fh.length > 0 &&
-                !link->stream->recvAll(payload.data(),
-                                       payload.size()))
-                break;
-            handleBackendFrame(conn, *link, fh, std::move(payload));
-        }
+        while (std::optional<Frame> frame = readFrame(*link->stream))
+            handleBackendFrame(conn, *link, frame->header,
+                               std::move(frame->payload));
     } catch (const std::exception &) {
         // A dead or misbehaving backend is the same event: fail
         // over whatever this link carried.
@@ -791,7 +612,7 @@ QumaGateway::forwardSubmit(Conn &conn, std::uint16_t version,
             1, std::memory_order_relaxed);
         requestsForwarded.fetch_add(1, std::memory_order_relaxed);
         try {
-            sendOnLink(*link, sealRaw(type, rid, payload, version));
+            sendOnLink(*link, sealFrame(type, rid, payload, version));
         } catch (const std::exception &) {
             // The link reader's failover re-homes the pending we
             // just registered; from here the request is in flight.
@@ -957,7 +778,7 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
             encodeProgressFrame(w, pf);
             progressForwarded.fetch_add(1,
                                         std::memory_order_relaxed);
-            conn.outbox.push(sealFrame(MsgType::ProgressFrame,
+            conn.push(sealFrame(MsgType::ProgressFrame,
                                        p.clientRid, w, p.version));
             return;
         }
@@ -984,14 +805,14 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
                     auto jit = conn.jobs.find(p.gwJobId);
                     if (jit != conn.jobs.end()) {
                         if (jit->second.awaited)
-                            conn.outbox.push(sealRaw(
+                            conn.push(sealFrame(
                                 MsgType::ErrorReply,
                                 jit->second.awaitRid, payload,
                                 jit->second.version));
                         conn.jobs.erase(jit);
                     }
                 } else {
-                    conn.outbox.push(sealRaw(MsgType::ErrorReply,
+                    conn.push(sealFrame(MsgType::ErrorReply,
                                              p.clientRid, payload,
                                              p.version));
                 }
@@ -1035,7 +856,7 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
             }
             if (!accepted) {
                 // Backend-side admission rejection: forward as-is.
-                conn.outbox.push(sealRaw(MsgType::TrySubmitReply,
+                conn.push(sealFrame(MsgType::TrySubmitReply,
                                          p.clientRid, payload,
                                          p.version));
                 break;
@@ -1053,12 +874,12 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
             if (p.reqType == MsgType::TrySubmitRequest) {
                 w.boolean(true);
                 w.u64(gwId);
-                conn.outbox.push(sealFrame(MsgType::TrySubmitReply,
+                conn.push(sealFrame(MsgType::TrySubmitReply,
                                            p.clientRid, w,
                                            p.version));
             } else {
                 w.u64(gwId);
-                conn.outbox.push(sealFrame(MsgType::SubmitReply,
+                conn.push(sealFrame(MsgType::SubmitReply,
                                            p.clientRid, w,
                                            p.version));
             }
@@ -1084,8 +905,8 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
             // The JobResult payload passes through BYTE-IDENTICAL:
             // this is what makes fleet results bit-identical to the
             // direct path.
-            conn.outbox.push(
-                sealRaw(fh.type, p.clientRid, payload, p.version));
+            conn.push(
+                sealFrame(fh.type, p.clientRid, payload, p.version));
             break;
         }
         default: {
@@ -1094,8 +915,8 @@ QumaGateway::handleBackendFrame(Conn &conn, BackendLink &link,
             if (isError)
                 errorsReturned.fetch_add(1,
                                          std::memory_order_relaxed);
-            conn.outbox.push(
-                sealRaw(fh.type, p.clientRid, payload, p.version));
+            conn.push(
+                sealFrame(fh.type, p.clientRid, payload, p.version));
             break;
         }
         }
@@ -1265,7 +1086,7 @@ QumaGateway::failoverLink(Conn &conn, std::size_t dead_index)
                 1, std::memory_order_relaxed);
             jobsResubmitted.fetch_add(1, std::memory_order_relaxed);
             try {
-                sendOnLink(*link, sealRaw(rs.reqType, rid,
+                sendOnLink(*link, sealFrame(rs.reqType, rid,
                                           rs.payload, rs.version));
             } catch (const std::exception &) {
                 // That link died too; ITS reader re-homes the
@@ -1319,8 +1140,7 @@ QumaGateway::Stats
 QumaGateway::stats() const
 {
     Stats s;
-    s.connectionsAccepted =
-        connectionsAccepted.load(std::memory_order_relaxed);
+    s.connectionsAccepted = host.accepted();
     s.requestsForwarded =
         requestsForwarded.load(std::memory_order_relaxed);
     s.resultsForwarded =
@@ -1335,18 +1155,16 @@ QumaGateway::stats() const
     s.statsServed = statsServed.load(std::memory_order_relaxed);
     s.inFlightHighWater =
         inFlightHighWater.load(std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        for (const auto &c : conns) {
-            if (c->finished)
-                continue;
-            ++s.connectionsActive;
-            std::lock_guard<std::mutex> lk(c->mu);
-            for (const auto &kv : c->jobs)
-                if (!kv.second.delivered)
-                    ++s.jobsInFlight;
-        }
-    }
+    host.forEach([&s](FrameConn &c, bool live) {
+        if (!live)
+            return;
+        ++s.connectionsActive;
+        auto &conn = static_cast<Conn &>(c);
+        std::lock_guard<std::mutex> lock(conn.mu);
+        for (const auto &kv : conn.jobs)
+            if (!kv.second.delivered)
+                ++s.jobsInFlight;
+    });
     for (const auto &b : backends) {
         BackendSnapshot snap;
         snap.name = b->cfg.name;
@@ -1375,17 +1193,11 @@ QumaGateway::bindMetrics(metrics::MetricsRegistry &registry)
     registry.counterFn(
         "quma_gateway_connections_accepted_total",
         "Client connections accepted by the gateway.", {},
-        [this, load] { return load(connectionsAccepted); });
+        [this] { return static_cast<double>(host.accepted()); });
     registry.gaugeFn(
         "quma_gateway_connections_active",
-        "Client connections currently multiplexed.", {}, [this] {
-            std::lock_guard<std::mutex> lock(mu);
-            std::size_t n = 0;
-            for (const auto &c : conns)
-                if (!c->finished)
-                    ++n;
-            return static_cast<double>(n);
-        });
+        "Client connections currently multiplexed.", {},
+        [this] { return static_cast<double>(host.active()); });
     registry.counterFn(
         "quma_gateway_requests_forwarded_total",
         "Client request frames forwarded to a backend.", {},

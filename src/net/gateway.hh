@@ -70,7 +70,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -83,6 +82,7 @@
 
 #include "common/metrics.hh"
 #include "net/client.hh"
+#include "net/frame_host.hh"
 #include "net/transport.hh"
 #include "net/wire.hh"
 
@@ -225,20 +225,6 @@ class QumaGateway
     void bindMetrics(metrics::MetricsRegistry &registry);
 
   private:
-    /** Sealed reply frames queued for one connection's writer. */
-    struct Outbox
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::deque<std::vector<std::uint8_t>> frames;
-        bool closed = false;
-        std::size_t limit = 8192;
-
-        bool push(std::vector<std::uint8_t> frame);
-        std::optional<std::vector<std::uint8_t>> pop();
-        void close();
-    };
-
     /** One backend link opened by one client connection. */
     struct BackendLink
     {
@@ -294,14 +280,13 @@ class QumaGateway
         bool delivered = false;
     };
 
-    /** One accepted client connection. */
-    struct Conn
+    /** One accepted client connection: the host's FrameConn plus
+     *  the routing state. */
+    struct Conn : FrameConn
     {
-        std::unique_ptr<ByteStream> stream;
-        Outbox outbox;
-        std::thread reader;
-        bool finished = false;
+        Conn(QumaGateway &gateway, std::unique_ptr<ByteStream> stream);
 
+        QumaGateway &gateway;
         std::mutex mu;
         std::condition_variable cvFlow;
         std::uint64_t nextBackendRid = 1;
@@ -309,7 +294,6 @@ class QumaGateway
         std::unordered_map<std::uint64_t, JobEntry> jobs;
         std::size_t inFlight = 0;
         bool closing = false;
-        std::atomic<std::uint16_t> peerVersion{kWireVersion};
 
         /** Guards links/retired; held across link connect (only
          *  the client reader and failover create links). */
@@ -317,6 +301,13 @@ class QumaGateway
         std::map<std::size_t, std::shared_ptr<BackendLink>> links;
         /** Dead links awaiting join at teardown. */
         std::vector<std::shared_ptr<BackendLink>> retired;
+
+        /** Also wakes a reader parked on the flow-control cap. */
+        void close() override;
+        bool serve(Frame frame) override;
+        void refuse(const WireVersionError &ex) override;
+        /** Close every backend link and join its reader. */
+        void onClosed() override;
     };
 
     /** Gateway-side view of one configured backend. */
@@ -344,16 +335,13 @@ class QumaGateway
         std::vector<std::uint8_t> frame;
     };
 
-    void acceptLoop();
     void healthLoop();
     /** Probe one backend (wire stats + optional healthProbe);
      *  updates healthy/lastStats. */
     void refreshBackend(BackendState &b);
 
-    void serveClient(Conn &conn);
-    void writerLoop(Conn &conn);
     /** Decode and route one client frame; false ends the conn. */
-    bool serveClientFrame(Conn &conn);
+    bool serveClientFrame(Conn &conn, Frame frame);
     /** Route a Submit/TrySubmit (flow slot already held). False =
      *  nothing healthy; the caller answered the client. */
     void forwardSubmit(Conn &conn, std::uint16_t version,
@@ -408,24 +396,11 @@ class QumaGateway
     /** Raise the gateway-wide in-flight high-water mark. */
     void noteInFlight(std::size_t in_flight);
 
-    void reapConnections(bool join_all);
-    bool stopping() const;
 
     const GatewayConfig cfg;
     std::vector<std::unique_ptr<BackendState>> backends;
-    std::unique_ptr<Listener> listener;
-
-    mutable std::mutex mu;
-    bool stopped = false;
-    std::vector<std::unique_ptr<Conn>> conns;
-    std::thread acceptor;
-
-    std::mutex healthMu;
-    std::condition_variable cvHealth;
-    std::thread health;
 
     std::atomic<std::uint64_t> nextGwJobId{1};
-    std::atomic<std::size_t> connectionsAccepted{0};
     std::atomic<std::size_t> requestsForwarded{0};
     std::atomic<std::size_t> resultsForwarded{0};
     std::atomic<std::size_t> progressForwarded{0};
@@ -435,6 +410,13 @@ class QumaGateway
     std::atomic<std::size_t> failovers{0};
     std::atomic<std::size_t> statsServed{0};
     std::atomic<std::size_t> inFlightHighWater{0};
+
+    /** Declared after everything its connection threads use. */
+    FrameHost host;
+
+    std::mutex healthMu;
+    std::condition_variable cvHealth;
+    std::thread health;
 };
 
 } // namespace quma::net

@@ -144,25 +144,17 @@ replayCapture(const CaptureFile &capture, const ReplayOptions &options)
     ReplyRouter router;
     std::thread reader([&] {
         try {
-            for (;;) {
-                std::uint8_t header[kFrameHeaderBytes];
-                if (!stream->recvAll(header, kFrameHeaderBytes))
-                    break;
-                // Replies mirror the replayed frames' version (the
-                // server answers a v3 request in v3), so the reader
-                // accepts every compatible version too.
-                checkFramePrefixCompat(header);
-                FrameHeader fh = decodeFrameHeaderUnchecked(header);
-                std::vector<std::uint8_t> payload(fh.length);
-                if (fh.length > 0 &&
-                    !stream->recvAll(payload.data(), payload.size()))
-                    break;
+            // Replies mirror the replayed frames' version (the server
+            // answers a v3 request in v3), so the reader accepts
+            // every compatible version too.
+            while (std::optional<Frame> frame = readFrame(*stream)) {
+                const FrameHeader &fh = frame->header;
                 if (fh.type == MsgType::ProgressFrame)
                     continue; // a push, not the await's reply
                 {
                     std::lock_guard<std::mutex> lock(router.mu);
-                    router.replies[fh.requestId] = {fh.type,
-                                                    std::move(payload)};
+                    router.replies[fh.requestId] = {
+                        fh.type, std::move(frame->payload)};
                 }
                 router.cv.notify_all();
             }

@@ -2,7 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <iterator>
@@ -16,8 +15,8 @@ namespace {
 /**
  * Thrown when a liveness probe finds the client gone mid-request.
  * Deliberately NOT a std::exception: it must fly through the
- * per-request error-reply catches straight to the connection's
- * disconnect handling (there is nobody left to send a reply to).
+ * per-request error-reply catches straight to serveRequest, which
+ * ends the connection (there is nobody left to send a reply to).
  */
 struct ConnectionLost
 {
@@ -25,82 +24,14 @@ struct ConnectionLost
 
 } // namespace
 
-// --- Outbox -----------------------------------------------------------------
-
-bool
-QumaServer::Outbox::push(OutFrame entry,
-                         std::atomic<std::size_t> *accepted)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (closed)
-            return false;
-        if (frames.size() >= limit) {
-            // Slow-consumer overflow: the peer requests but never
-            // reads. Close (dropping the backlog) -- the writer's
-            // pop sees it and tears the stream down, which wakes
-            // the reader into the disconnect handling.
-            closed = true;
-            frames.clear();
-            cv.notify_all();
-            return false;
-        }
-        if (accepted)
-            accepted->fetch_add(1, std::memory_order_relaxed);
-        frames.push_back(std::move(entry));
-    }
-    // notify_all: the cv is shared by the writer's pop AND a
-    // teardown drainFor; waking only one could park the writer
-    // behind a drain waiter and stall (then drop) this frame.
-    cv.notify_all();
-    return true;
-}
-
-std::optional<QumaServer::OutFrame>
-QumaServer::Outbox::pop()
-{
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return closed || !frames.empty(); });
-    if (closed)
-        return std::nullopt;
-    OutFrame entry = std::move(frames.front());
-    frames.pop_front();
-    sending = true;
-    return entry;
-}
-
-void
-QumaServer::Outbox::sent()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        sending = false;
-    }
-    // Wake a drainFor() waiter watching the queue empty out.
-    cv.notify_all();
-}
-
-void
-QumaServer::Outbox::drainFor(std::chrono::milliseconds timeout)
-{
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait_for(lock, timeout, [this] {
-        return closed || (frames.empty() && !sending);
-    });
-}
-
-void
-QumaServer::Outbox::close()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        closed = true;
-        frames.clear();
-    }
-    cv.notify_all();
-}
-
 // --- ConnState --------------------------------------------------------------
+
+QumaServer::ConnState::ConnState(QumaServer &server_,
+                                 std::unique_ptr<ByteStream> stream)
+    : FrameConn(std::move(stream), server_.cfg.maxQueuedReplyFrames),
+      server(server_)
+{
+}
 
 void
 QumaServer::ConnState::noteSubmitted(runtime::JobId id)
@@ -133,30 +64,70 @@ QumaServer::ConnState::takeSubmitted()
     return ids;
 }
 
-void
-QumaServer::ConnState::closeStream()
+bool
+QumaServer::ConnState::serve(Frame frame)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (stream)
-        stream->close();
+    return server.serveRequest(*this, std::move(frame));
+}
+
+void
+QumaServer::ConnState::refuse(const WireVersionError &ex)
+{
+    // v1 frames have no requestId at all: answer on the
+    // connection-level id.
+    server.queueError(*this, kConnectionRequestId,
+                      WireErrorCode::VersionMismatch, ex.what());
+}
+
+void
+QumaServer::ConnState::onSent(const std::vector<std::uint8_t> &frame)
+{
+    if (capture)
+        capture->record(CaptureRecordType::Outbound, frame.data(),
+                        frame.size());
+    std::lock_guard<std::mutex> lock(server.mu);
+    server.meter.record(frame.size(), false);
+}
+
+void
+QumaServer::ConnState::onClosed()
+{
+    // Cancel the connection's undelivered queued jobs: the only
+    // party that could read their results just vanished. Running
+    // work is never interrupted (cancel refuses it); a job whose
+    // result was already streamed is no longer in the set.
+    std::size_t cancelled = 0;
+    for (runtime::JobId id : takeSubmitted())
+        if (server.service.scheduler().cancel(id))
+            ++cancelled;
+
+    std::lock_guard<std::mutex> lock(server.mu);
+    server.counters.jobsCancelledOnDisconnect += cancelled;
+    // Absorb (and zero) the streamed counts so stats() -- which also
+    // sums tracked connections -- never counts them twice.
+    server.counters.resultsStreamed +=
+        streamed.exchange(0, std::memory_order_relaxed);
+    server.counters.progressFramesPushed +=
+        progressPushed.exchange(0, std::memory_order_relaxed);
 }
 
 // --- QumaServer -------------------------------------------------------------
 
 QumaServer::QumaServer(runtime::ExperimentService &service_,
-                       std::unique_ptr<Listener> listener_,
+                       std::unique_ptr<Listener> listener,
                        ServerConfig config)
-    : service(service_), listener(std::move(listener_)), cfg(config),
-      meter(cfg.linkBytesPerSecond)
+    : service(service_), cfg(config), meter(cfg.linkBytesPerSecond),
+      host(std::move(listener),
+           [this](std::unique_ptr<ByteStream> stream, std::size_t seq) {
+               return makeConnection(std::move(stream), seq);
+           })
 {
-    if (!listener)
-        fatal("QumaServer needs a listener");
     if (!cfg.captureDir.empty() &&
         ::mkdir(cfg.captureDir.c_str(), 0755) != 0 &&
         errno != EEXIST)
         fatal("capture: cannot create directory '", cfg.captureDir,
               "': ", std::strerror(errno));
-    acceptor = std::thread([this] { acceptLoop(); });
+    host.start();
 }
 
 QumaServer::~QumaServer()
@@ -167,67 +138,29 @@ QumaServer::~QumaServer()
 void
 QumaServer::stop()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (stopped)
-            return;
-        stopped = true;
-    }
-    // Unblock the accept loop, then every connection: closing the
-    // stream unblocks the reader's recv, closing the outbox unblocks
-    // the writer's pop.
-    listener->close();
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        for (auto &conn : connections) {
-            conn->stream->close();
-            conn->state->outbox.close();
-        }
-    }
-    // Join the acceptor first: after it no new connection can start.
-    if (acceptor.joinable())
-        acceptor.join();
-    // Deterministic teardown: every serving thread is joined before
-    // stop() returns -- nothing detached survives the server.
-    reapConnections(/*join_all=*/true);
+    host.stop();
 }
 
 QumaServer::Stats
 QumaServer::stats() const
 {
-    // ONE lock acquisition covers the whole snapshot: counters, the
-    // live connections' streamed counts (atomics -- no per-connection
-    // mutex nests in here) and the meter all sit behind mu, so the
-    // fields of the returned Stats are mutually consistent.
+    // ONE server-lock acquisition covers the whole snapshot: the
+    // counters, the tracked connections' streamed counts (atomics,
+    // absorbed into the counters under this same lock when a
+    // connection closes) and the meter.
     std::lock_guard<std::mutex> lock(mu);
     Stats s = counters;
-    // counters only absorbs a connection's streamed count when it
-    // ends (and zeroes it there); live connections contribute here,
-    // so a long-lived client's pushes are visible mid-session.
-    for (const auto &conn : connections) {
+    host.forEach([&s](FrameConn &c, bool live) {
+        const auto &state = static_cast<const ConnState &>(c);
+        s.connectionsActive += live ? 1 : 0;
         s.resultsStreamed +=
-            conn->state->streamed.load(std::memory_order_relaxed);
+            state.streamed.load(std::memory_order_relaxed);
         s.progressFramesPushed +=
-            conn->state->progressPushed.load(
-                std::memory_order_relaxed);
-    }
+            state.progressPushed.load(std::memory_order_relaxed);
+    });
+    s.connectionsAccepted = host.accepted();
     s.link = meter.stats();
     return s;
-}
-
-std::size_t
-QumaServer::queuedReplyFrames() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    std::size_t depth = 0;
-    // mu -> outbox.mu nests only here and never in reverse (outbox
-    // operations elsewhere run without the server mutex held).
-    for (const auto &conn : connections) {
-        Outbox &box = conn->state->outbox;
-        std::lock_guard<std::mutex> block(box.mu);
-        depth += box.frames.size();
-    }
-    return depth;
 }
 
 void
@@ -236,15 +169,12 @@ QumaServer::bindMetrics(metrics::MetricsRegistry &registry)
     registry.counterFn(
         "quma_server_connections_accepted_total",
         "Connections accepted by the serving listener.", {}, [this] {
-            std::lock_guard<std::mutex> lock(mu);
-            return static_cast<double>(counters.connectionsAccepted);
+            return static_cast<double>(host.accepted());
         });
     registry.gaugeFn(
         "quma_server_connections_active",
-        "Connections currently being served.", {}, [this] {
-            std::lock_guard<std::mutex> lock(mu);
-            return static_cast<double>(counters.connectionsActive);
-        });
+        "Connections currently being served.", {},
+        [this] { return static_cast<double>(host.active()); });
     registry.counterFn(
         "quma_server_requests_served_total",
         "Request frames fully received and dispatched.", {}, [this] {
@@ -291,7 +221,13 @@ QumaServer::bindMetrics(metrics::MetricsRegistry &registry)
     registry.gaugeFn(
         "quma_server_outbox_frames",
         "Reply frames queued across live connections' outboxes.", {},
-        [this] { return static_cast<double>(queuedReplyFrames()); });
+        [this] {
+            std::size_t depth = 0;
+            host.forEach([&depth](FrameConn &c, bool) {
+                depth += c.outbox.depth();
+            });
+            return static_cast<double>(depth);
+        });
     registry.counterFn("quma_link_bytes_total",
                        "Wire traffic through the serving link meter.",
                        {{"direction", "up"}}, [this] {
@@ -322,210 +258,35 @@ QumaServer::bindMetrics(metrics::MetricsRegistry &registry)
         });
 }
 
-bool
-QumaServer::stopping() const
+std::shared_ptr<FrameConn>
+QumaServer::makeConnection(std::unique_ptr<ByteStream> stream,
+                           std::size_t seq)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    return stopped;
-}
-
-void
-QumaServer::reapConnections(bool join_all)
-{
-    // Joining can briefly block (a finishing reader still cancelling
-    // jobs), so never join while holding mu: move the candidates out
-    // first.
-    std::vector<std::unique_ptr<Connection>> reaped;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto split = std::partition(
-            connections.begin(), connections.end(),
-            [join_all](const std::unique_ptr<Connection> &c) {
-                return !join_all && !c->finished;
-            });
-        for (auto it = split; it != connections.end(); ++it)
-            reaped.push_back(std::move(*it));
-        connections.erase(split, connections.end());
-    }
-    for (auto &conn : reaped)
-        if (conn->reader.joinable())
-            conn->reader.join();
-}
-
-void
-QumaServer::acceptLoop()
-{
-    for (;;) {
-        std::unique_ptr<ByteStream> stream = listener->accept();
-        if (!stream)
-            return;
-        // Reclaim connections whose reader already finished, so a
-        // long-lived server's tracking stays proportional to the
-        // LIVE connection count, not the historical one.
-        reapConnections(/*join_all=*/false);
-        std::lock_guard<std::mutex> lock(mu);
-        if (stopped) {
-            stream->close();
-            return;
-        }
-        auto conn = std::make_unique<Connection>();
-        conn->stream = std::move(stream);
-        conn->state = std::make_shared<ConnState>();
-        conn->state->outbox.limit = cfg.maxQueuedReplyFrames;
-        if (!cfg.captureDir.empty()) {
-            // Named by the accept sequence number: captures line up
-            // with quma_server_connections_accepted_total and never
-            // collide across a server's lifetime.
-            const std::string path =
-                cfg.captureDir + "/conn-" +
-                std::to_string(counters.connectionsAccepted + 1) +
-                ".qcap";
-            try {
-                conn->state->capture =
-                    std::make_shared<CaptureWriter>(path);
-            } catch (const FatalError &ex) {
-                // Serve without the recording rather than refusing
-                // the client: capture is a diagnostic aid.
-                warn("capture disabled for connection: ", ex.what());
-            }
-        }
-        Connection *raw = conn.get();
-        ++counters.connectionsAccepted;
-        ++counters.connectionsActive;
+    auto state = std::make_shared<ConnState>(*this, std::move(stream));
+    if (!cfg.captureDir.empty()) {
+        // Named by the accept sequence number: captures line up with
+        // quma_server_connections_accepted_total and never collide
+        // across a server's lifetime.
+        const std::string path =
+            cfg.captureDir + "/conn-" + std::to_string(seq) + ".qcap";
         try {
-            conn->reader =
-                std::thread([this, raw] { serveConnection(*raw); });
-        } catch (const std::exception &ex) {
-            // Thread exhaustion must not strand the active count or
-            // terminate the acceptor; drop just this connection and
-            // keep serving.
-            warn("serving thread spawn failed: ", ex.what());
-            --counters.connectionsActive;
-            continue;
+            state->capture = std::make_shared<CaptureWriter>(path);
+        } catch (const FatalError &ex) {
+            // Serve without the recording rather than refusing the
+            // client: capture is a diagnostic aid.
+            warn("capture disabled for connection: ", ex.what());
         }
-        connections.push_back(std::move(conn));
     }
-}
-
-void
-QumaServer::writerLoop(ByteStream &stream, ConnState &state)
-{
-    while (std::optional<OutFrame> entry = state.outbox.pop()) {
-        try {
-            if (entry->result) {
-                // Deferred streamed result: encode HERE, on this
-                // connection's own thread, so the scheduler's one
-                // notifier thread never serializes every
-                // connection's wire encoding behind one core.
-                Writer w;
-                encodeJobResult(w, *entry->result);
-                entry->frame = sealFrame(
-                    MsgType::AwaitReply, entry->requestId, w,
-                    state.peerVersion.load(
-                        std::memory_order_relaxed));
-                entry->result.reset();
-            }
-            stream.sendAll(entry->frame.data(),
-                           entry->frame.size());
-        } catch (const std::exception &) {
-            // Dead peer: stop writing and wake the reader (its recv
-            // sees the closed stream), which runs the disconnect
-            // handling.
-            state.outbox.sent();
-            state.outbox.close();
-            stream.close();
-            return;
-        }
-        state.outbox.sent();
-        if (state.capture)
-            state.capture->record(CaptureRecordType::Outbound,
-                                  entry->frame.data(),
-                                  entry->frame.size());
-        std::lock_guard<std::mutex> lock(mu);
-        meter.record(entry->frame.size(), false);
-    }
-    // Closed outbox (teardown, or slow-consumer overflow): make sure
-    // the reader is not left parked in recv on a connection nobody
-    // will write to again. Idempotent on the normal teardown path.
-    stream.close();
-}
-
-void
-QumaServer::serveConnection(Connection &conn)
-{
-    ByteStream &stream = *conn.stream;
-    ConnState &state = *conn.state;
-    {
-        // Publish the stream for the overflow teardown hook.
-        std::lock_guard<std::mutex> lock(state.mu);
-        state.stream = &stream;
-    }
-    // The writer is owned (and joined) by this reader thread; the
-    // outbox is the only coupling between them.
-    std::thread writer([this, &stream, &state] {
-        writerLoop(stream, state);
-    });
-    try {
-        while (serveRequest(stream, conn.state)) {
-        }
-    } catch (const ConnectionLost &) {
-        // Liveness probe saw the client go: straight to cleanup.
-    } catch (const std::exception &) {
-        // Dead or misbehaving peer: fall through to the disconnect
-        // handling. The connection is gone either way.
-    }
-    // Let the writer flush farewell frames (a VersionMismatch or
-    // Shutdown error the peer should still see) -- bounded, because
-    // the peer may be gone -- then close: outbox first (ends the
-    // writer's pop), stream second (unblocks a wedged sendAll).
-    state.outbox.drainFor(std::chrono::milliseconds(500));
-    state.outbox.close();
-    stream.close();
-    writer.join();
-    {
-        // The stream is about to die with this connection: no late
-        // pusher may touch it through the hook anymore.
-        std::lock_guard<std::mutex> lock(state.mu);
-        state.stream = nullptr;
-    }
-
-    // Cancel the connection's undelivered queued jobs: the only
-    // party that could read their results just vanished. Running
-    // work is never interrupted (cancel refuses it); a job whose
-    // result was already streamed is no longer in the set.
-    std::size_t cancelled = 0;
-    for (runtime::JobId id : state.takeSubmitted())
-        if (service.scheduler().cancel(id))
-            ++cancelled;
-
-    std::lock_guard<std::mutex> lock(mu);
-    counters.jobsCancelledOnDisconnect += cancelled;
-    // Absorb (and zero) the streamed count so stats() -- which also
-    // sums live connections -- never counts a finished-but-unreaped
-    // connection twice.
-    counters.resultsStreamed +=
-        state.streamed.exchange(0, std::memory_order_relaxed);
-    counters.progressFramesPushed +=
-        state.progressPushed.exchange(0, std::memory_order_relaxed);
-    --counters.connectionsActive;
-    conn.finished = true;
+    return state;
 }
 
 void
 QumaServer::queueFrame(ConnState &state, MsgType type,
                        std::uint64_t request_id, const Writer &payload)
 {
-    if (!state.outbox.push(
-            {sealFrame(type, request_id, payload,
-                       state.peerVersion.load(
-                           std::memory_order_relaxed)),
-             nullptr, 0})) {
-        // Closed -- normal teardown, or a slow-consumer overflow
-        // that just closed it. Closing the stream (idempotent)
-        // guarantees the wedged writer and the reader both unblock
-        // into the disconnect handling either way.
-        state.closeStream();
-    }
+    state.push(sealFrame(type, request_id, payload,
+                         state.peerVersion.load(
+                             std::memory_order_relaxed)));
 }
 
 void
@@ -542,57 +303,24 @@ QumaServer::queueError(ConnState &state, std::uint64_t request_id,
 }
 
 bool
-QumaServer::serveRequest(ByteStream &stream,
-                         const std::shared_ptr<ConnState> &state)
+QumaServer::serveRequest(ConnState &state, Frame frame)
 {
-    // Read the version-independent prefix FIRST: a legacy v1 frame
-    // can be shorter than the v2 header (a 12-byte StatsRequest has
-    // no payload at all), and blocking for v2-header bytes the peer
-    // will never send would hang both ends instead of diagnosing.
-    std::uint8_t header[kFrameHeaderBytes];
-    if (!stream.recvAll(header, kFrameHeaderPrefixBytes))
-        return false; // clean EOF between frames
-    try {
-        // v3 and v4 share the byte-identical header layout, so one
-        // compat check both validates the prefix and tells this
-        // connection which dialect to speak back (replies are sealed
-        // at the peer's version; v4-only extras are withheld from v3
-        // peers).
-        state->peerVersion.store(checkFramePrefixCompat(header),
-                                 std::memory_order_relaxed);
-    } catch (const WireVersionError &ex) {
-        // A legacy (or future) peer: its framing is foreign -- v1
-        // frames have no requestId at all -- so this connection
-        // cannot be served, but the bytes read are enough to know
-        // WHY. Tell the peer on the connection-level id, then hang
-        // up (the writer flushes the outbox before the reader's
-        // close drops the stream).
-        queueError(*state, kConnectionRequestId,
-                   WireErrorCode::VersionMismatch, ex.what());
-        return false;
-    }
-    // A compatible version: the rest of the header is on the way.
-    if (!stream.recvAll(header + kFrameHeaderPrefixBytes,
-                        kFrameHeaderBytes - kFrameHeaderPrefixBytes))
-        throw WireError("connection closed mid-header");
-    FrameHeader fh = decodeFrameHeaderUnchecked(header);
-    std::vector<std::uint8_t> payload(fh.length);
-    if (fh.length > 0 &&
-        !stream.recvAll(payload.data(), payload.size()))
-        throw WireError("connection closed mid-frame");
-    if (state->capture) {
+    // v3 and v4 share the byte-identical header layout: the frame's
+    // version tells this connection which dialect to speak back.
+    state.peerVersion.store(frame.version, std::memory_order_relaxed);
+    const FrameHeader &fh = frame.header;
+    if (state.capture) {
         // Record only FULLY received frames (header + payload), so a
         // capture replays cleanly: a request torn by a dying client
         // was never served and must not be re-driven either.
-        std::vector<std::uint8_t> frame(header,
-                                        header + sizeof(header));
-        frame.insert(frame.end(), payload.begin(), payload.end());
-        state->capture->record(CaptureRecordType::Inbound,
-                               frame.data(), frame.size());
+        std::vector<std::uint8_t> bytes = sealFrame(
+            fh.type, fh.requestId, frame.payload, frame.version);
+        state.capture->record(CaptureRecordType::Inbound, bytes.data(),
+                              bytes.size());
     }
     {
         std::lock_guard<std::mutex> lock(mu);
-        meter.record(sizeof(header) + payload.size(), true);
+        meter.record(kFrameHeaderBytes + frame.payload.size(), true);
         ++counters.requestsServed;
         auto type = static_cast<std::size_t>(fh.type);
         ++counters
@@ -601,24 +329,26 @@ QumaServer::serveRequest(ByteStream &stream,
                                   : 0];
     }
 
-    Reader r(payload);
+    Reader r(frame.payload);
     try {
-        return dispatchRequest(stream, state, fh, r);
+        return dispatchRequest(state, fh, r);
     } catch (const WireError &ex) {
         // The frame itself was fully received -- framing is intact,
         // only this payload was malformed. That is the client's bug:
         // answer it and keep the connection (tearing it down would
         // also cancel the client's other queued jobs).
-        queueError(*state, fh.requestId, WireErrorCode::BadRequest,
+        queueError(state, fh.requestId, WireErrorCode::BadRequest,
                    ex.what());
         return true;
+    } catch (const ConnectionLost &) {
+        // Liveness probe saw the client go: straight to teardown.
+        return false;
     }
 }
 
 bool
-QumaServer::dispatchRequest(ByteStream &stream,
-                            const std::shared_ptr<ConnState> &state,
-                            const FrameHeader &header, Reader &r)
+QumaServer::dispatchRequest(ConnState &state, const FrameHeader &header,
+                            Reader &r)
 {
     // How long a blocking submit may hold the reader before it
     // rechecks stop(): bounds shutdown latency without polling hot.
@@ -632,7 +362,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
         // decodeJobSpec (and with it the journal record format)
         // stays byte-identical to v3.
         TraceContext tc;
-        if (state->peerVersion.load(std::memory_order_relaxed) >= 4)
+        if (state.peerVersion.load(std::memory_order_relaxed) >= 4)
             tc = decodeTraceContext(r);
         r.expectEnd();
         try {
@@ -644,15 +374,15 @@ QumaServer::dispatchRequest(ByteStream &stream,
             // full queue is supposed to slow the pipelining client
             // down.
             while (!(id = service.submitFor(spec, kStopCheck))) {
-                if (stopping()) {
-                    queueError(*state, rid, WireErrorCode::Shutdown,
+                if (host.stopping()) {
+                    queueError(state, rid, WireErrorCode::Shutdown,
                                "server stopping");
                     return false;
                 }
-                if (!stream.peerAlive())
+                if (!state.stream().peerAlive())
                     throw ConnectionLost{};
             }
-            state->noteSubmitted(*id);
+            state.noteSubmitted(*id);
             // Tie the server-side lifecycle events to the client's
             // trace, so one merged dump shows both sides. No-op
             // while tracing is off.
@@ -660,11 +390,11 @@ QumaServer::dispatchRequest(ByteStream &stream,
                 service.trace().setTraceId(*id, tc.traceId);
             Writer w;
             w.u64(*id);
-            queueFrame(*state, MsgType::SubmitReply, rid, w);
+            queueFrame(state, MsgType::SubmitReply, rid, w);
             // (ConnectionLost is not a std::exception by design: it
             // flies past the handler below to the disconnect path.)
         } catch (const std::exception &ex) {
-            queueError(*state, rid, WireErrorCode::Internal,
+            queueError(state, rid, WireErrorCode::Internal,
                        ex.what());
         }
         return true;
@@ -672,23 +402,23 @@ QumaServer::dispatchRequest(ByteStream &stream,
     case MsgType::TrySubmitRequest: {
         runtime::JobSpec spec = decodeJobSpec(r);
         TraceContext tc;
-        if (state->peerVersion.load(std::memory_order_relaxed) >= 4)
+        if (state.peerVersion.load(std::memory_order_relaxed) >= 4)
             tc = decodeTraceContext(r);
         r.expectEnd();
         try {
             std::optional<runtime::JobId> id =
                 service.trySubmit(std::move(spec));
             if (id) {
-                state->noteSubmitted(*id);
+                state.noteSubmitted(*id);
                 if (tc.traceId != 0)
                     service.trace().setTraceId(*id, tc.traceId);
             }
             Writer w;
             w.boolean(id.has_value());
             w.u64(id.value_or(0));
-            queueFrame(*state, MsgType::TrySubmitReply, rid, w);
+            queueFrame(state, MsgType::TrySubmitReply, rid, w);
         } catch (const std::exception &ex) {
-            queueError(*state, rid, WireErrorCode::Internal,
+            queueError(state, rid, WireErrorCode::Internal,
                        ex.what());
         }
         return true;
@@ -700,9 +430,9 @@ QumaServer::dispatchRequest(ByteStream &stream,
             runtime::JobStatus st = service.status(id);
             Writer w;
             w.u8(static_cast<std::uint8_t>(st));
-            queueFrame(*state, MsgType::StatusReply, rid, w);
+            queueFrame(state, MsgType::StatusReply, rid, w);
         } catch (const std::exception &ex) {
-            queueError(*state, rid, WireErrorCode::UnknownJob,
+            queueError(state, rid, WireErrorCode::UnknownJob,
                        ex.what());
         }
         return true;
@@ -717,17 +447,17 @@ QumaServer::dispatchRequest(ByteStream &stream,
             w.boolean(result.has_value());
             if (result)
                 encodeJobResult(w, *result);
-            queueFrame(*state, MsgType::PollReply, rid, w);
+            queueFrame(state, MsgType::PollReply, rid, w);
             // Result delivered: nothing left for disconnect-cancel
             // to protect, and the per-connection id tracking must
             // not grow for the lifetime of a busy connection.
             if (result)
-                state->noteDelivered(id);
+                state.noteDelivered(id);
         } catch (const std::exception &ex) {
             // Unknown to the scheduler (likely aged out of result
             // retention): dead weight in the tracking set too.
-            state->noteDelivered(id);
-            queueError(*state, rid, WireErrorCode::UnknownJob,
+            state.noteDelivered(id);
+            queueError(state, rid, WireErrorCode::UnknownJob,
                        ex.what());
         }
         return true;
@@ -742,8 +472,10 @@ QumaServer::dispatchRequest(ByteStream &stream,
             // connection is gone by the time the job finishes, the
             // push finds a closed outbox (or nothing at all) and
             // evaporates without touching the server.
-            std::weak_ptr<ConnState> weak = state;
-            if (state->peerVersion.load(std::memory_order_relaxed) >=
+            std::weak_ptr<ConnState> weak =
+                std::static_pointer_cast<ConnState>(
+                    state.shared_from_this());
+            if (state.peerVersion.load(std::memory_order_relaxed) >=
                 4) {
                 // v4 peers also get rate-limited progress pushes
                 // under the await's requestId, ending at done ==
@@ -762,17 +494,13 @@ QumaServer::dispatchRequest(ByteStream &stream,
                         Writer w;
                         encodeProgressFrame(
                             w, ProgressFrameData{job, done, total});
-                        if (!st->outbox.push(
-                                {sealFrame(
-                                     MsgType::ProgressFrame, rid, w,
-                                     st->peerVersion.load(
-                                         std::memory_order_relaxed)),
-                                 nullptr, 0},
-                                &st->progressPushed))
-                            // Dead or overflowed connection: the
-                            // push evaporated; unwedge its threads
-                            // (idempotent).
-                            st->closeStream();
+                        // A dead or overflowed connection drops
+                        // the push (and push unwedges its threads).
+                        st->push(sealFrame(MsgType::ProgressFrame,
+                                           rid, w,
+                                           st->peerVersion.load(
+                                               std::memory_order_relaxed)),
+                                 &st->progressPushed);
                     });
             }
             service.scheduler().subscribe(
@@ -785,24 +513,26 @@ QumaServer::dispatchRequest(ByteStream &stream,
                     if (!st)
                         return;
                     // Hand the shared result straight to the
-                    // connection's writer (which encodes it): the
+                    // connection's writer, which encodes it: the
                     // notifier thread stays cheap no matter how
                     // large the result or how many connections
-                    // stream concurrently.
-                    if (st->outbox.push({{}, std::move(result), rid},
-                                        &st->streamed)) {
-                        std::lock_guard<std::mutex> lock(st->mu);
-                        st->submitted.erase(id);
-                    } else {
-                        // Dead or overflowed connection: make sure
-                        // its threads unwedge (idempotent; no-op
-                        // once the reader cleared the hook).
-                        st->closeStream();
-                    }
+                    // stream concurrently. (The entry lives in this
+                    // connection's outbox, so `conn` outlives it.)
+                    ConnState *conn = st.get();
+                    auto seal = [conn, rid, result = std::move(result)] {
+                        Writer w;
+                        encodeJobResult(w, *result);
+                        return sealFrame(MsgType::AwaitReply, rid, w,
+                                         conn->peerVersion.load(
+                                             std::memory_order_relaxed));
+                    };
+                    if (st->push(OutFrame{{}, std::move(seal)},
+                                 &st->streamed))
+                        st->noteDelivered(id);
                 });
         } catch (const std::exception &ex) {
-            state->noteDelivered(id); // unknown/aged out: dead weight
-            queueError(*state, rid, WireErrorCode::UnknownJob,
+            state.noteDelivered(id); // unknown/aged out: dead weight
+            queueError(state, rid, WireErrorCode::UnknownJob,
                        ex.what());
         }
         return true;
@@ -816,7 +546,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
         Writer w;
         encodeClockSyncFrame(
             w, ClockSyncFrame{service.trace().nowNanos()});
-        queueFrame(*state, MsgType::ClockSyncReply, rid, w);
+        queueFrame(state, MsgType::ClockSyncReply, rid, w);
         return true;
     }
     case MsgType::TraceDumpRequest: {
@@ -831,7 +561,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
         dump.dropped = service.trace().dropped();
         Writer w;
         encodeTraceDumpFrame(w, dump);
-        queueFrame(*state, MsgType::TraceDumpReply, rid, w);
+        queueFrame(state, MsgType::TraceDumpReply, rid, w);
         return true;
     }
     case MsgType::StatsRequest: {
@@ -844,7 +574,7 @@ QumaServer::dispatchRequest(ByteStream &stream,
             service.scheduler().effectiveQueueCapacity();
         Writer w;
         encodeStatsFrame(w, stats);
-        queueFrame(*state, MsgType::StatsReply, rid, w);
+        queueFrame(state, MsgType::StatsReply, rid, w);
         return true;
     }
     case MsgType::CancelRequest: {
@@ -854,19 +584,19 @@ QumaServer::dispatchRequest(ByteStream &stream,
         // submitted itself -- ids are a guessable global sequence,
         // and cancelling another client's queued work would corrupt
         // that client's awaits.
-        bool ok = state->owns(id) && service.scheduler().cancel(id);
+        bool ok = state.owns(id) && service.scheduler().cancel(id);
         if (ok)
-            state->noteDelivered(id);
+            state.noteDelivered(id);
         Writer w;
         w.boolean(ok);
-        queueFrame(*state, MsgType::CancelReply, rid, w);
+        queueFrame(state, MsgType::CancelReply, rid, w);
         return true;
     }
     default:
         // A reply type arriving as a request is a protocol
         // violation; tell the peer and keep the connection (the
         // framing is still intact).
-        queueError(*state, rid, WireErrorCode::BadRequest,
+        queueError(state, rid, WireErrorCode::BadRequest,
                    "frame type " +
                        std::to_string(static_cast<std::uint16_t>(
                            header.type)) +

@@ -5,10 +5,11 @@
  * One server wraps one shared runtime::ExperimentService and serves
  * the wire protocol (wire.hh) over any transport Listener -- TCP for
  * real remote clients, the in-process loopback for deterministic
- * tests. Each accepted connection gets a READER thread that decodes
- * request frames and a WRITER thread that drains the connection's
- * outbox; every reply frame echoes its request's requestId, so one
- * connection carries any number of requests in flight at once.
+ * tests. The shared FrameHost (frame_host.hh) accepts and runs each
+ * connection's READER and WRITER threads; the server supplies the
+ * request dispatch as the connection's serve hook. Every reply frame
+ * echoes its request's requestId, so one connection carries any
+ * number of requests in flight at once.
  *
  * STREAMING. An AwaitRequest no longer parks the connection: the
  * reader registers a JobScheduler completion subscription and moves
@@ -37,11 +38,11 @@
  * reference to the connection's shared state; late pushes find the
  * outbox closed and evaporate.
  *
- * SHUTDOWN. Serving threads are TRACKED and JOINED: stop() closes
- * the listener, every live stream and outbox, then joins the
+ * SHUTDOWN. Serving threads are TRACKED and JOINED by the host:
+ * stop() closes the listener and every connection, then joins the
  * acceptor and every reader (each reader joins its own writer), so
  * teardown is deterministic -- no detached thread ever touches a
- * dead server (the pre-v2 detached design could).
+ * dead server.
  *
  * VERSIONING. Frames stamped v3 or v4 are both served: the reader
  * remembers the peer's version per connection, seals every reply at
@@ -70,18 +71,14 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "common/metrics.hh"
 #include "net/capture.hh"
+#include "net/frame_host.hh"
 #include "net/transport.hh"
 #include "net/wire.hh"
 #include "quma/hostlink.hh"
@@ -179,69 +176,16 @@ class QumaServer
 
   private:
     /**
-     * One queued reply: either an already-sealed frame, or a
-     * deferred streamed result (shared with the scheduler, encoded
-     * by the WRITER thread -- so the scheduler's single notifier
-     * thread never pays per-result wire encoding, and concurrent
-     * connections encode their streams in parallel).
+     * Per-connection state: the host's FrameConn (stream, outbox,
+     * threads) plus what the server tracks. Completion callbacks hold
+     * it weakly: a push that outlives the connection finds the
+     * outbox closed and evaporates.
      */
-    struct OutFrame
+    struct ConnState : FrameConn
     {
-        std::vector<std::uint8_t> frame;
-        std::shared_ptr<const runtime::JobResult> result;
-        std::uint64_t requestId = 0;
-    };
+        ConnState(QumaServer &server, std::unique_ptr<ByteStream> stream);
 
-    /**
-     * Replies queued for one connection's writer thread. Sealed
-     * frames go in from the reader (inline replies), deferred
-     * results from the scheduler's notifier thread (streamed
-     * AwaitReplys); the writer drains in FIFO order. close() drops
-     * whatever is pending -- once the connection is going away
-     * there is nobody to read it.
-     */
-    struct Outbox
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::deque<OutFrame> frames;
-        bool closed = false;
-        /** The writer popped an entry and is encoding/sending it. */
-        bool sending = false;
-        /** Queued-entry cap (ServerConfig::maxQueuedReplyFrames);
-         *  overflowing it closes the outbox -- slow-consumer
-         *  disconnect, the writer tears the stream down. */
-        std::size_t limit = 8192;
-
-        /** False (entry dropped) once closed or over the cap. An
-         *  accepted entry first bumps `accepted` (if given) under the
-         *  outbox lock, so the counter leads the writer's send: a
-         *  peer never reads a reply its count does not include. */
-        bool push(OutFrame entry,
-                  std::atomic<std::size_t> *accepted = nullptr);
-        /** Block for the next entry (marks it in flight); nullopt
-         *  once closed and empty. */
-        std::optional<OutFrame> pop();
-        /** The in-flight entry left sendAll (either way). */
-        void sent();
-        /**
-         * Bounded wait for the writer to drain queue AND in-flight
-         * frame: lets a farewell frame (VersionMismatch, Shutdown)
-         * out before close() drops the rest. Bounded because the
-         * writer may be wedged against a dead peer.
-         */
-        void drainFor(std::chrono::milliseconds timeout);
-        void close();
-    };
-
-    /**
-     * Per-connection state shared between the reader, the writer and
-     * any in-flight completion callbacks (which hold it weakly: a
-     * push that outlives the connection finds the outbox closed).
-     */
-    struct ConnState
-    {
-        Outbox outbox;
+        QumaServer &server;
         std::mutex mu;
         /** Jobs submitted here whose results were not delivered. */
         std::unordered_set<runtime::JobId> submitted;
@@ -253,25 +197,16 @@ class QumaServer
          *  outbox (same accounting pattern as `streamed`). */
         std::atomic<std::size_t> progressPushed{0};
         /**
-         * The peer's negotiated wire version: stamped from the first
-         * byte-compatible frame prefix the reader accepts (v3 or
-         * v4). Every reply on this connection is sealed at THIS
-         * version, and v4-only extras (trace context in Submit
-         * payloads, ProgressFrame pushes) are gated on >= 4, so a v3
-         * client sees exactly the v3 protocol. Atomic because the
-         * writer thread and scheduler-notifier pushers read it while
-         * the reader updates it.
+         * The peer's negotiated wire version: stamped from every
+         * frame the reader accepts (v3 or v4). Every reply on this
+         * connection is sealed at THIS version, and v4-only extras
+         * (trace context in Submit payloads, ProgressFrame pushes)
+         * are gated on >= 4, so a v3 client sees exactly the v3
+         * protocol. Atomic because the writer thread and
+         * scheduler-notifier pushers read it while the reader
+         * updates it.
          */
         std::atomic<std::uint16_t> peerVersion{kWireVersion};
-        /**
-         * Teardown hook for pushers: set by the reader while the
-         * connection lives (guarded by mu, cleared before the
-         * reader exits, so the target is always valid when called).
-         * An outbox overflow closes the stream through this, which
-         * unblocks a writer wedged in sendAll against the dead
-         * peer and wakes the reader into the disconnect handling.
-         */
-        ByteStream *stream = nullptr;
         /** Wire-traffic recorder (ServerConfig::captureDir); null
          *  when capture is off. Internally mutex-serialized, so the
          *  reader and writer threads record through it directly. */
@@ -282,55 +217,37 @@ class QumaServer
         bool owns(runtime::JobId id);
         /** Drain the undelivered set (disconnect cancellation). */
         std::vector<runtime::JobId> takeSubmitted();
-        /** Close the live stream, if any (idempotent). */
-        void closeStream();
+
+        bool serve(Frame frame) override;
+        void refuse(const WireVersionError &ex) override;
+        void onSent(const std::vector<std::uint8_t> &frame) override;
+        /** Disconnect handling: cancel the connection's undelivered
+         *  queued jobs and absorb its counts. */
+        void onClosed() override;
     };
 
-    /** One tracked connection: stream, shared state, reader thread
-     *  (the reader owns and joins the writer). */
-    struct Connection
-    {
-        std::unique_ptr<ByteStream> stream;
-        std::shared_ptr<ConnState> state;
-        std::thread reader;
-        /** Set by the reader on exit; the acceptor reaps. */
-        bool finished = false;
-    };
-
-    void acceptLoop();
-    void serveConnection(Connection &conn);
-    void writerLoop(ByteStream &stream, ConnState &state);
-    /** Decode and serve one request; false ends the connection.
-     *  The state travels as a shared_ptr so an Await subscription
-     *  can capture it weakly. */
-    bool serveRequest(ByteStream &stream,
-                      const std::shared_ptr<ConnState> &state);
+    /** The host's factory: state (and capture file) for connection
+     *  number `seq`. */
+    std::shared_ptr<FrameConn> makeConnection(
+        std::unique_ptr<ByteStream> stream, std::size_t seq);
+    /** Meter, capture and serve one request frame; false ends the
+     *  connection. */
+    bool serveRequest(ConnState &state, Frame frame);
     /** The type switch; false ends the connection (shutdown). */
-    bool dispatchRequest(ByteStream &stream,
-                         const std::shared_ptr<ConnState> &state,
-                         const FrameHeader &header, Reader &r);
+    bool dispatchRequest(ConnState &state, const FrameHeader &header,
+                         Reader &r);
     void queueFrame(ConnState &state, MsgType type,
                     std::uint64_t request_id, const Writer &payload);
     void queueError(ConnState &state, std::uint64_t request_id,
                     WireErrorCode code, const std::string &message);
-    /** Join and erase finished connections (called by the acceptor
-     *  and by stop(), which first closes everything). */
-    void reapConnections(bool join_all);
-    bool stopping() const;
-    /** Reply frames queued across live connections' outboxes. */
-    std::size_t queuedReplyFrames() const;
 
     runtime::ExperimentService &service;
-    std::unique_ptr<Listener> listener;
     const ServerConfig cfg;
 
     mutable std::mutex mu;
-    bool stopped = false;
-    std::thread acceptor;
-    /** Tracked connections; reaped on accept and joined at stop(). */
-    std::vector<std::unique_ptr<Connection>> connections;
     Stats counters;
     core::LinkMeter meter;
+    FrameHost host;
 };
 
 } // namespace quma::net

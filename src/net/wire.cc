@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "net/transport.hh"
+
 namespace quma::net {
 
 // --- primitives -------------------------------------------------------------
@@ -188,7 +190,13 @@ std::vector<std::uint8_t>
 sealFrame(MsgType type, std::uint64_t request_id,
           const Writer &payload, std::uint16_t version)
 {
-    const std::vector<std::uint8_t> &body = payload.bytes();
+    return sealFrame(type, request_id, payload.bytes(), version);
+}
+
+std::vector<std::uint8_t>
+sealFrame(MsgType type, std::uint64_t request_id,
+          const std::vector<std::uint8_t> &body, std::uint16_t version)
+{
     if (body.size() > kMaxPayloadBytes)
         throw WireError("payload exceeds the frame size cap");
     Writer header;
@@ -250,14 +258,18 @@ throwVersionError(std::uint16_t version)
         version);
 }
 
+/** Check magic and that the version is in [oldest, kWireVersion]. */
 std::uint16_t
-readPrefixVersion(const std::uint8_t *prefix)
+checkPrefix(const std::uint8_t *prefix, std::uint16_t oldest)
 {
     Reader r(prefix, kFrameHeaderPrefixBytes);
     std::uint32_t magic = r.u32();
     if (magic != kWireMagic)
         throw WireError("bad frame magic");
-    return r.u16();
+    std::uint16_t version = r.u16();
+    if (version < oldest || version > kWireVersion)
+        throwVersionError(version);
+    return version;
 }
 
 } // namespace
@@ -265,18 +277,32 @@ readPrefixVersion(const std::uint8_t *prefix)
 void
 checkFramePrefix(const std::uint8_t *prefix)
 {
-    std::uint16_t version = readPrefixVersion(prefix);
-    if (version != kWireVersion)
-        throwVersionError(version);
+    checkPrefix(prefix, kWireVersion);
 }
 
 std::uint16_t
 checkFramePrefixCompat(const std::uint8_t *prefix)
 {
-    std::uint16_t version = readPrefixVersion(prefix);
-    if (version < kMinCompatWireVersion || version > kWireVersion)
-        throwVersionError(version);
-    return version;
+    return checkPrefix(prefix, kMinCompatWireVersion);
+}
+
+std::optional<Frame>
+readFrame(ByteStream &stream, std::uint16_t oldest)
+{
+    std::uint8_t header[kFrameHeaderBytes];
+    if (!stream.recvAll(header, kFrameHeaderPrefixBytes))
+        return std::nullopt;
+    Frame frame;
+    frame.version = checkPrefix(header, oldest);
+    if (!stream.recvAll(header + kFrameHeaderPrefixBytes,
+                        kFrameHeaderBytes - kFrameHeaderPrefixBytes))
+        throw WireError("connection closed mid-header");
+    frame.header = decodeFrameHeaderUnchecked(header);
+    frame.payload.resize(frame.header.length);
+    if (frame.header.length > 0 &&
+        !stream.recvAll(frame.payload.data(), frame.payload.size()))
+        throw WireError("connection closed mid-frame");
+    return frame;
 }
 
 FrameHeader

@@ -277,6 +277,16 @@ std::vector<std::uint8_t> sealFrame(MsgType type,
                                     std::uint16_t version = kWireVersion);
 
 /**
+ * sealFrame around payload bytes that are already encoded: what the
+ * gateway forwards (byte-identity through the hop is the point) and
+ * what the server's capture records for a received frame.
+ */
+std::vector<std::uint8_t>
+sealFrame(MsgType type, std::uint64_t request_id,
+          const std::vector<std::uint8_t> &payload,
+          std::uint16_t version = kWireVersion);
+
+/**
  * Validate the version-independent prefix (kFrameHeaderPrefixBytes):
  * throws WireError on bad magic and WireVersionError on a foreign
  * version. Callers read and check this much FIRST, so a legacy
@@ -307,6 +317,33 @@ FrameHeader decodeFrameHeader(const std::uint8_t *header);
  * version than kWireVersion.
  */
 FrameHeader decodeFrameHeaderUnchecked(const std::uint8_t *header);
+
+class ByteStream;
+
+/** One whole frame read off a stream. */
+struct Frame
+{
+    FrameHeader header;
+    /** The version the peer stamped (replies are sealed at it). */
+    std::uint16_t version = kWireVersion;
+    std::vector<std::uint8_t> payload;
+};
+
+/**
+ * Read one frame: the kFrameHeaderPrefixBytes prefix first (so a
+ * legacy frame shorter than the v2 header still gets its diagnosis
+ * instead of a blocked read), then the rest of the header, then the
+ * payload. Accepts versions in [oldest, kWireVersion]: the serving
+ * side takes every compatible peer, a client passes kWireVersion.
+ *
+ * @return nullopt on a clean EOF between frames
+ * @throws WireVersionError on a version outside the window;
+ *         WireError on bad magic, an unknown type, an oversized
+ *         length, or a stream that ends inside the frame
+ */
+std::optional<Frame> readFrame(ByteStream &stream,
+                               std::uint16_t oldest =
+                                   kMinCompatWireVersion);
 
 /** Error frame payload. */
 struct ErrorFrame

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <memory>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -424,21 +423,6 @@ TEST(Gateway, DrainRemovesFromRoutingWhileInFlightFinishes)
 
 // --- wire compatibility -----------------------------------------------------
 
-/** Read one frame tolerant of any compatible version stamp. */
-std::tuple<std::uint16_t, FrameHeader, std::vector<std::uint8_t>>
-recvFrameCompat(ByteStream &stream)
-{
-    std::uint8_t header[kFrameHeaderBytes];
-    EXPECT_TRUE(stream.recvAll(header, sizeof(header)));
-    std::uint16_t version = checkFramePrefixCompat(header);
-    FrameHeader fh = decodeFrameHeaderUnchecked(header);
-    std::vector<std::uint8_t> payload(fh.length);
-    if (fh.length > 0) {
-        EXPECT_TRUE(stream.recvAll(payload.data(), payload.size()));
-    }
-    return {version, fh, std::move(payload)};
-}
-
 TEST(Gateway, V3ClientIsServedThroughV4Gateway)
 {
     ServiceConfig sc;
@@ -456,7 +440,7 @@ TEST(Gateway, V3ClientIsServedThroughV4Gateway)
     std::vector<std::uint8_t> frame =
         sealFrame(MsgType::SubmitRequest, 7, submit, 3);
     raw->sendAll(frame.data(), frame.size());
-    auto [sver, sfh, sbody] = recvFrameCompat(*raw);
+    auto [sfh, sver, sbody] = readFrame(*raw).value();
     EXPECT_EQ(sver, 3u) << "reply to a v3 peer must be v3-stamped";
     ASSERT_EQ(sfh.type, MsgType::SubmitReply);
     EXPECT_EQ(sfh.requestId, 7u);
@@ -468,7 +452,7 @@ TEST(Gateway, V3ClientIsServedThroughV4Gateway)
     await.u64(id);
     frame = sealFrame(MsgType::AwaitRequest, 8, await, 3);
     raw->sendAll(frame.data(), frame.size());
-    auto [aver, afh, abody] = recvFrameCompat(*raw);
+    auto [afh, aver, abody] = readFrame(*raw).value();
     EXPECT_EQ(aver, 3u);
     ASSERT_EQ(afh.type, MsgType::AwaitReply)
         << "the first push after a v3 await must be the result, "
@@ -481,7 +465,7 @@ TEST(Gateway, V3ClientIsServedThroughV4Gateway)
     // Stats through the gateway at v3: the merged fleet frame.
     frame = sealFrame(MsgType::StatsRequest, 9, Writer{}, 3);
     raw->sendAll(frame.data(), frame.size());
-    auto [tver, tfh, tbody] = recvFrameCompat(*raw);
+    auto [tfh, tver, tbody] = readFrame(*raw).value();
     EXPECT_EQ(tver, 3u);
     ASSERT_EQ(tfh.type, MsgType::StatsReply);
     Reader tr(tbody);

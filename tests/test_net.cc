@@ -18,20 +18,69 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <map>
 #include <mutex>
+#include <new>
+#include <random>
 #include <thread>
-#include <tuple>
 
 #include "common/logging.hh"
 #include "experiments/allxy.hh"
 #include "experiments/coherence.hh"
+#include "net/capture.hh"
 #include "net/client.hh"
+#include "net/gateway.hh"
 #include "net/server.hh"
 #include "net/transport.hh"
 #include "net/wire.hh"
 #include "runtime/service.hh"
+
+#ifndef QUMA_TEST_DATA_DIR
+#define QUMA_TEST_DATA_DIR "tests/data"
+#endif
+
+namespace {
+
+/** While set, operator new records the largest request it sees. */
+std::atomic<bool> trackAllocations{false};
+std::atomic<std::size_t> largestAllocation{0};
+
+} // namespace
+
+// Every allocation in this binary passes through here, so the decoder
+// fuzz below can bound the largest one a hostile frame provokes. Out
+// of line, so the compiler pairs new with delete rather than with the
+// malloc/free inside them.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    if (trackAllocations.load(std::memory_order_relaxed)) {
+        std::size_t seen =
+            largestAllocation.load(std::memory_order_relaxed);
+        while (size > seen &&
+               !largestAllocation.compare_exchange_weak(
+                   seen, size, std::memory_order_relaxed)) {
+        }
+    }
+    if (void *p = std::malloc(size != 0 ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace quma::net {
 namespace {
@@ -717,20 +766,6 @@ TEST(Loopback, StopUnblocksAPendingAwait)
     service.drain();
 }
 
-/** Read one whole frame (header + payload) off a raw stream. */
-std::pair<FrameHeader, std::vector<std::uint8_t>>
-recvFrame(ByteStream &stream)
-{
-    std::uint8_t header[kFrameHeaderBytes];
-    EXPECT_TRUE(stream.recvAll(header, sizeof(header)));
-    FrameHeader fh = decodeFrameHeader(header);
-    std::vector<std::uint8_t> payload(fh.length);
-    if (fh.length > 0) {
-        EXPECT_TRUE(stream.recvAll(payload.data(), payload.size()));
-    }
-    return {fh, std::move(payload)};
-}
-
 TEST(Loopback, MalformedPayloadGetsBadRequestAndKeepsConnection)
 {
     ServiceConfig sc;
@@ -752,7 +787,7 @@ TEST(Loopback, MalformedPayloadGetsBadRequestAndKeepsConnection)
     std::vector<std::uint8_t> frame =
         sealFrame(MsgType::SubmitRequest, 1, submit);
     raw->sendAll(frame.data(), frame.size());
-    auto [sfh, sbody] = recvFrame(*raw);
+    auto [sfh, sver, sbody] = readFrame(*raw, kWireVersion).value();
     ASSERT_EQ(sfh.type, MsgType::SubmitReply);
     EXPECT_EQ(sfh.requestId, 1u);
 
@@ -762,7 +797,7 @@ TEST(Loopback, MalformedPayloadGetsBadRequestAndKeepsConnection)
     bad.u32(7);
     frame = sealFrame(MsgType::StatusRequest, 2, bad);
     raw->sendAll(frame.data(), frame.size());
-    auto [efh, ebody] = recvFrame(*raw);
+    auto [efh, ever, ebody] = readFrame(*raw, kWireVersion).value();
     ASSERT_EQ(efh.type, MsgType::ErrorReply);
     // The error reply routes back to the offending request.
     EXPECT_EQ(efh.requestId, 2u);
@@ -773,7 +808,7 @@ TEST(Loopback, MalformedPayloadGetsBadRequestAndKeepsConnection)
     Writer stats;
     frame = sealFrame(MsgType::StatsRequest, 3, stats);
     raw->sendAll(frame.data(), frame.size());
-    auto [tfh, tbody] = recvFrame(*raw);
+    auto [tfh, tver, tbody] = readFrame(*raw, kWireVersion).value();
     EXPECT_EQ(tfh.type, MsgType::StatsReply);
     EXPECT_EQ(tfh.requestId, 3u);
     EXPECT_EQ(service.scheduler().stats().cancelled, 0u);
@@ -799,16 +834,93 @@ sealV1Frame(MsgType type, const Writer &payload)
     return frame;
 }
 
-TEST(Loopback, LegacyV1FrameGetsCleanVersionMismatchThenHangup)
+/** The two front doors, both hosts of frame connections. */
+enum class FrontDoorKind
 {
-    ExperimentService service({.workers = 1});
-    auto listener = std::make_unique<LoopbackListener>();
-    LoopbackListener *accept_side = listener.get();
-    QumaServer server(service, std::move(listener));
+    Server,
+    Gateway,
+};
+
+/**
+ * One front door on a loopback listener: a QumaServer, or a
+ * QumaGateway in front of one loopback QumaServer backend. The
+ * teardown tests below run one body against both.
+ */
+class FrontDoor : public ::testing::TestWithParam<FrontDoorKind>
+{
+  protected:
+    /** Bring the front door up: its client-facing pipe buffers
+     *  `pipe_capacity` bytes per direction, and each connection's
+     *  outbox holds `max_queued` frames. */
+    void
+    open(std::size_t pipe_capacity = static_cast<std::size_t>(-1),
+         std::size_t max_queued = 8192)
+    {
+        auto listener =
+            std::make_unique<LoopbackListener>(pipe_capacity);
+        clientSide = listener.get();
+        if (GetParam() == FrontDoorKind::Server) {
+            ServerConfig cfg;
+            cfg.maxQueuedReplyFrames = max_queued;
+            server = std::make_unique<QumaServer>(
+                service, std::move(listener), cfg);
+            return;
+        }
+        auto backend_listener = std::make_unique<LoopbackListener>();
+        LoopbackListener *backend_side = backend_listener.get();
+        server = std::make_unique<QumaServer>(
+            service, std::move(backend_listener));
+        std::vector<GatewayBackend> backends(1);
+        backends[0].name = "loopback";
+        backends[0].connect = [backend_side] {
+            return backend_side->connect();
+        };
+        GatewayConfig cfg;
+        cfg.maxQueuedReplyFrames = max_queued;
+        gateway = std::make_unique<QumaGateway>(
+            std::move(backends), std::move(listener), cfg);
+    }
+
+    std::unique_ptr<ByteStream> connect() { return clientSide->connect(); }
+
+    /** Client connections the front door is still serving. */
+    std::size_t
+    activeConnections() const
+    {
+        return gateway ? gateway->stats().connectionsActive
+                       : server->stats().connectionsActive;
+    }
+
+    /** Client connections the front door has accepted. */
+    std::size_t
+    acceptedConnections() const
+    {
+        return gateway ? gateway->stats().connectionsAccepted
+                       : server->stats().connectionsAccepted;
+    }
+
+    ExperimentService service{ServiceConfig{.workers = 1}};
+    /** The front door itself, or the gateway's backend. */
+    std::unique_ptr<QumaServer> server;
+    std::unique_ptr<QumaGateway> gateway;
+    LoopbackListener *clientSide = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Loopback, FrontDoor,
+    ::testing::Values(FrontDoorKind::Server, FrontDoorKind::Gateway),
+    [](const ::testing::TestParamInfo<FrontDoorKind> &info) {
+        return info.param == FrontDoorKind::Server ? "Server"
+                                                   : "Gateway";
+    });
+
+TEST_P(FrontDoor, LegacyV1FrameGetsCleanVersionMismatchThenHangup)
+{
+    open();
 
     // A v1 StatusRequest: 12 header bytes + 8 payload bytes, so the
-    // server's 20-byte header read completes and sees version 1.
-    std::unique_ptr<ByteStream> raw = accept_side->connect();
+    // front door's 20-byte header read completes and sees version 1.
+    std::unique_ptr<ByteStream> raw = connect();
     Writer payload;
     payload.u64(7);
     std::vector<std::uint8_t> frame =
@@ -819,7 +931,7 @@ TEST(Loopback, LegacyV1FrameGetsCleanVersionMismatchThenHangup)
     // The answer is a clean, DECODABLE v2 error frame on the
     // connection-level request id -- not silence, not a dropped
     // socket mid-frame.
-    auto [fh, body] = recvFrame(*raw);
+    auto [fh, ver, body] = readFrame(*raw, kWireVersion).value();
     EXPECT_EQ(fh.type, MsgType::ErrorReply);
     EXPECT_EQ(fh.requestId, kConnectionRequestId);
     Reader r(body);
@@ -827,20 +939,21 @@ TEST(Loopback, LegacyV1FrameGetsCleanVersionMismatchThenHangup)
     EXPECT_EQ(e.code, WireErrorCode::VersionMismatch);
     EXPECT_NE(e.message.find("version 1"), std::string::npos);
 
-    // ... after which the server hangs up (clean EOF).
+    // ... after which the front door hangs up (clean EOF).
     std::uint8_t probe;
     EXPECT_FALSE(raw->recvAll(&probe, 1));
 
     // The nastier case: a v1 frame SHORTER than the v2 header (a
-    // 12-byte StatsRequest has no payload). The server must not
+    // 12-byte StatsRequest has no payload). The front door must not
     // block waiting for v2-header bytes that will never come -- the
     // prefix check fires on the first 12 bytes alone.
-    std::unique_ptr<ByteStream> short_raw = accept_side->connect();
+    std::unique_ptr<ByteStream> short_raw = connect();
     std::vector<std::uint8_t> tiny =
         sealV1Frame(MsgType::StatsRequest, Writer{});
     ASSERT_EQ(tiny.size(), kFrameHeaderPrefixBytes);
     short_raw->sendAll(tiny.data(), tiny.size());
-    auto [tfh, tbody] = recvFrame(*short_raw);
+    auto [tfh, tver, tbody] =
+        readFrame(*short_raw, kWireVersion).value();
     EXPECT_EQ(tfh.type, MsgType::ErrorReply);
     Reader tr(tbody);
     EXPECT_EQ(decodeErrorFrame(tr).code,
@@ -848,27 +961,24 @@ TEST(Loopback, LegacyV1FrameGetsCleanVersionMismatchThenHangup)
     EXPECT_FALSE(short_raw->recvAll(&probe, 1));
 }
 
-TEST(Loopback, SlowConsumerOverflowTearsTheConnectionDown)
+TEST_P(FrontDoor, SlowConsumerOverflowTearsTheConnectionDown)
 {
     // A client that fires requests but never reads replies must not
-    // grow the server's outbox without bound: once the pipe (here a
-    // TCP-buffer-sized 256 bytes) wedges the writer and the outbox
-    // hits its cap, the connection is treated as dead and reclaimed.
-    ExperimentService service({.workers = 1});
-    auto listener =
-        std::make_unique<LoopbackListener>(/*pipe_capacity=*/256);
-    LoopbackListener *accept_side = listener.get();
-    ServerConfig cfg;
-    cfg.maxQueuedReplyFrames = 4;
-    QumaServer server(service, std::move(listener), cfg);
+    // grow the front door's outbox without bound: once the pipe
+    // (here a TCP-buffer-sized 256 bytes) wedges the writer and the
+    // outbox hits its cap, the connection is treated as dead and
+    // reclaimed.
+    open(/*pipe_capacity=*/256, /*max_queued=*/4);
 
-    std::unique_ptr<ByteStream> raw = accept_side->connect();
+    std::unique_ptr<ByteStream> raw = connect();
+    // ClockSync is answered inline by both front doors (the gateway
+    // answers Stats with a synchronous fleet refresh instead).
     std::vector<std::uint8_t> frame =
-        sealFrame(MsgType::StatsRequest, 1, Writer{});
+        sealFrame(MsgType::ClockSyncRequest, 1, Writer{});
     // Far more requests than fit in the reply pipe plus the outbox
     // cap; never read a single reply. Sends may block on the
-    // bounded pipe and then fail once the server hangs up -- which
-    // is the point.
+    // bounded pipe and then fail once the front door hangs up --
+    // which is the point.
     bool hungUpOnUs = false;
     for (int i = 0; i < 64 && !hungUpOnUs; ++i) {
         try {
@@ -878,23 +988,20 @@ TEST(Loopback, SlowConsumerOverflowTearsTheConnectionDown)
         }
     }
     for (int i = 0; i < 1000; ++i) {
-        if (server.stats().connectionsActive == 0)
+        if (activeConnections() == 0)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    EXPECT_EQ(server.stats().connectionsActive, 0u);
+    EXPECT_EQ(activeConnections(), 0u);
 
-    // The server remains healthy for well-behaved clients.
-    QumaClient client(accept_side->connect());
+    // The front door remains healthy for well-behaved clients.
+    QumaClient client(connect());
     EXPECT_FALSE(client.runSync(shotJob(2, 0x51)).failed());
 }
 
-TEST(Loopback, TruncatedHeadersNeverWedgeTheServer)
+TEST_P(FrontDoor, TruncatedHeadersNeverWedgeTheServer)
 {
-    ExperimentService service({.workers = 1});
-    auto listener = std::make_unique<LoopbackListener>();
-    LoopbackListener *accept_side = listener.get();
-    QumaServer server(service, std::move(listener));
+    open();
 
     Writer payload;
     payload.u64(424242);
@@ -902,26 +1009,30 @@ TEST(Loopback, TruncatedHeadersNeverWedgeTheServer)
         sealFrame(MsgType::AwaitRequest, 9, payload);
 
     // Every proper prefix of the 20-byte header (plus a mid-payload
-    // cut): the server must treat each as a dead/misbehaving peer
-    // and reclaim the connection -- no hang, no crash, no UB for
-    // any cut point across the new header fields (requestId
+    // cut): the front door must treat each as a dead/misbehaving
+    // peer and reclaim the connection -- no hang, no crash, no UB
+    // for any cut point across the header fields (requestId
     // included).
     for (std::size_t cut = 1; cut < whole.size(); ++cut) {
-        std::unique_ptr<ByteStream> raw = accept_side->connect();
+        std::unique_ptr<ByteStream> raw = connect();
         raw->sendAll(whole.data(), cut);
         raw->close();
     }
-    // Connections are torn down asynchronously; wait for the server
-    // to reclaim all of them.
+    // Connections are accepted and torn down asynchronously: wait
+    // for the front door to accept all of them (none is active
+    // before its accept either), then to reclaim all of them.
+    const std::size_t connects = whole.size() - 1;
     for (int i = 0; i < 1000; ++i) {
-        if (server.stats().connectionsActive == 0)
+        if (acceptedConnections() == connects &&
+            activeConnections() == 0)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    EXPECT_EQ(server.stats().connectionsActive, 0u);
+    EXPECT_EQ(acceptedConnections(), connects);
+    EXPECT_EQ(activeConnections(), 0u);
 
-    // And the server still serves fresh, well-formed connections.
-    QumaClient client(accept_side->connect());
+    // And it still serves fresh, well-formed connections.
+    QumaClient client(connect());
     EXPECT_FALSE(client.runSync(shotJob(2, 0xf42)).failed());
 }
 
@@ -1423,21 +1534,6 @@ TEST(Loopback, DisconnectMidSweepLeavesOtherConnectionsStreaming)
         << "survivor stopped receiving progress";
 }
 
-/** Read one frame tolerant of any compatible version stamp. */
-std::tuple<std::uint16_t, FrameHeader, std::vector<std::uint8_t>>
-recvFrameCompat(ByteStream &stream)
-{
-    std::uint8_t header[kFrameHeaderBytes];
-    EXPECT_TRUE(stream.recvAll(header, sizeof(header)));
-    std::uint16_t version = checkFramePrefixCompat(header);
-    FrameHeader fh = decodeFrameHeaderUnchecked(header);
-    std::vector<std::uint8_t> payload(fh.length);
-    if (fh.length > 0) {
-        EXPECT_TRUE(stream.recvAll(payload.data(), payload.size()));
-    }
-    return {version, fh, std::move(payload)};
-}
-
 TEST(Loopback, V3ClientIsServedWithoutProgressFrames)
 {
     // The backward-compat pin: a v3 peer submits WITHOUT a trace
@@ -1460,7 +1556,7 @@ TEST(Loopback, V3ClientIsServedWithoutProgressFrames)
     std::vector<std::uint8_t> frame =
         sealFrame(MsgType::SubmitRequest, 1, submit, 3);
     raw->sendAll(frame.data(), frame.size());
-    auto [sver, sfh, sbody] = recvFrameCompat(*raw);
+    auto [sfh, sver, sbody] = readFrame(*raw).value();
     EXPECT_EQ(sver, 3u) << "reply to a v3 peer must be v3-stamped";
     ASSERT_EQ(sfh.type, MsgType::SubmitReply);
     Reader sr(sbody);
@@ -1471,7 +1567,7 @@ TEST(Loopback, V3ClientIsServedWithoutProgressFrames)
     await.u64(id);
     frame = sealFrame(MsgType::AwaitRequest, 2, await, 3);
     raw->sendAll(frame.data(), frame.size());
-    auto [aver, afh, abody] = recvFrameCompat(*raw);
+    auto [afh, aver, abody] = readFrame(*raw).value();
     EXPECT_EQ(aver, 3u);
     // The FIRST push after a v3 await is the result, not progress:
     // the server must not subscribe progress for a v3 peer even
@@ -1485,6 +1581,156 @@ TEST(Loopback, V3ClientIsServedWithoutProgressFrames)
     // And no trace association was recorded for the v3 job.
     EXPECT_EQ(service.trace().traceIdOf(id), 0u);
     EXPECT_EQ(server.stats().progressFramesPushed, 0u);
+}
+
+// --- mutation fuzz of the wire decoders ------------------------------------
+
+/** Decode a frame's payload with the decoder its type selects, to
+ *  the last byte. */
+void
+decodePayload(const Frame &frame)
+{
+    Reader r(frame.payload);
+    switch (frame.header.type) {
+    case MsgType::SubmitRequest:
+    case MsgType::TrySubmitRequest:
+        decodeJobSpec(r);
+        if (frame.version >= 4)
+            decodeTraceContext(r);
+        break;
+    case MsgType::StatusRequest:
+    case MsgType::PollRequest:
+    case MsgType::AwaitRequest:
+    case MsgType::CancelRequest:
+    case MsgType::SubmitReply:
+        r.u64();
+        break;
+    case MsgType::StatsRequest:
+    case MsgType::ClockSyncRequest:
+    case MsgType::TraceDumpRequest:
+        break;
+    case MsgType::TrySubmitReply:
+        r.boolean();
+        r.u64();
+        break;
+    case MsgType::StatusReply:
+        r.u8();
+        break;
+    case MsgType::PollReply:
+        if (r.boolean())
+            decodeJobResult(r);
+        break;
+    case MsgType::AwaitReply:
+        decodeJobResult(r);
+        break;
+    case MsgType::StatsReply:
+        decodeStatsFrame(r);
+        break;
+    case MsgType::CancelReply:
+        r.boolean();
+        break;
+    case MsgType::ClockSyncReply:
+        decodeClockSyncFrame(r);
+        break;
+    case MsgType::TraceDumpReply:
+        decodeTraceDumpFrame(r);
+        break;
+    case MsgType::ProgressFrame:
+        decodeProgressFrame(r);
+        break;
+    case MsgType::ErrorReply:
+        decodeErrorFrame(r);
+        break;
+    }
+    r.expectEnd();
+}
+
+TEST(Wire, MutatedCaptureFramesDecodeOrThrowWireError)
+{
+    // Every frame of the golden AllXY session, mutated by byte flips,
+    // truncations and length-field edits, then read off a loopback
+    // stream and decoded: each mutant must decode or throw WireError
+    // (WireVersionError included) -- never crash, hang, throw
+    // anything else, or allocate more than one frame's payload cap.
+    const CaptureFile capture =
+        readCapture(std::string(QUMA_TEST_DATA_DIR) +
+                    "/allxy_session.qcap");
+    ASSERT_TRUE(capture.valid);
+    ASSERT_FALSE(capture.frames.empty());
+
+    std::size_t decoded = 0;
+    std::size_t rejected = 0;
+    // Read frames off a stream carrying exactly `bytes` until EOF.
+    auto feed = [&](const std::vector<std::uint8_t> &bytes) {
+        auto [writer, reader] = loopbackPair();
+        if (!bytes.empty())
+            writer->sendAll(bytes.data(), bytes.size());
+        writer->close();
+        try {
+            while (std::optional<Frame> frame = readFrame(*reader)) {
+                EXPECT_LE(frame->payload.size(), kMaxPayloadBytes);
+                decodePayload(*frame);
+                ++decoded;
+            }
+        } catch (const WireError &) {
+            ++rejected;
+        }
+    };
+
+    // The unmutated frames decode: the decoder table above is right.
+    for (const CapturedFrame &f : capture.frames)
+        feed(f.frame);
+    ASSERT_EQ(decoded, capture.frames.size());
+    ASSERT_EQ(rejected, 0u);
+
+    std::mt19937_64 rng(0x5eedf00d);
+    auto below = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    largestAllocation.store(0);
+    trackAllocations.store(true);
+    for (const CapturedFrame &f : capture.frames) {
+        const std::vector<std::uint8_t> &base = f.frame;
+        const std::size_t n = base.size();
+        ASSERT_GE(n, kFrameHeaderBytes);
+        // Byte flips: one random bit of every header byte, then
+        // random masks anywhere in the frame.
+        for (std::size_t at = 0; at < kFrameHeaderBytes; ++at) {
+            std::vector<std::uint8_t> m = base;
+            m[at] ^= static_cast<std::uint8_t>(1u << below(8));
+            feed(m);
+        }
+        for (int i = 0; i < 64; ++i) {
+            std::vector<std::uint8_t> m = base;
+            m[below(n)] ^= static_cast<std::uint8_t>(1 + below(255));
+            feed(m);
+        }
+        // Truncations: every cut through the header and into the
+        // payload start, then random cuts further in.
+        for (std::size_t cut = 0;
+             cut < std::min(n, kFrameHeaderBytes + 8); ++cut)
+            feed({base.begin(), base.begin() + cut});
+        for (int i = 0; i < 16; ++i) {
+            const std::size_t cut = below(n);
+            feed({base.begin(), base.begin() + cut});
+        }
+        // Length-field edits (bytes 8..11, little-endian).
+        const std::uint32_t len = static_cast<std::uint32_t>(
+            n - kFrameHeaderBytes);
+        for (std::uint32_t claimed :
+             {0u, len - 1, len + 1, 2 * len + 1, kMaxPayloadBytes,
+              kMaxPayloadBytes + 1, 0xFFFFFFFFu}) {
+            std::vector<std::uint8_t> m = base;
+            for (int b = 0; b < 4; ++b)
+                m[8 + b] = static_cast<std::uint8_t>(claimed >> (8 * b));
+            feed(m);
+        }
+    }
+    trackAllocations.store(false);
+    EXPECT_LE(largestAllocation.load(), kMaxPayloadBytes);
+    // Both outcomes were exercised.
+    EXPECT_GT(decoded, capture.frames.size());
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace
