@@ -1,11 +1,11 @@
 /**
  * @file
- * Micro-benchmarks of the PR 7 event-engine hot paths: the
- * hierarchical timing wheel's pop/re-register cycle against the
- * poll-every-component scan it replaced, at 1/4/8/16 registered
- * sources, and the batched readout-noise fill against the per-sample
- * gaussian loop. Prints a fixed-width table and, with `--json <path>`,
- * writes machine-readable metrics per docs/benchmarks.md.
+ * Micro-benchmarks of the event-engine hot paths: the next-due
+ * table's pop/re-register cycle behind QumaMachine::run, at 1/4/8/16
+ * registered sources, and the batched readout-noise fill against the
+ * per-sample gaussian loop. Prints a fixed-width table and, with
+ * `--json <path>`, writes machine-readable metrics per
+ * docs/benchmarks.md.
  *
  * `--smoke` runs every case exactly once (no timing claims): the
  * perf_smoke ctest label uses it to catch bit-rot in Debug builds.
@@ -20,7 +20,7 @@
 #include "common/rng.hh"
 #include "qsim/readout.hh"
 #include "qsim/transmon.hh"
-#include "timing/wheel.hh"
+#include "timing/next_due.hh"
 
 using namespace quma;
 
@@ -45,66 +45,37 @@ timeNs(F &&body, std::size_t iters)
 }
 
 /**
- * Steady-state wheel traffic: `sources` registered sources with
+ * Steady-state dispatch traffic: `sources` registered sources with
  * staggered periods; each pop re-registers every fired source one
  * period later, exactly the QumaMachine run-loop's access pattern.
  * Reported per dispatched event.
  */
 double
-wheelDispatchNs(unsigned sources, std::size_t events)
+dispatchNs(unsigned sources, std::size_t events)
 {
-    timing::EventWheel w(sources);
+    timing::NextDueTable t;
     std::vector<Cycle> period(sources);
     for (unsigned s = 0; s < sources; ++s) {
-        // Mixed cadences spanning level-0 and level-1 placement.
+        // Mixed cadences, from a few cycles to thousands.
         period[s] = 4 + 37 * (s % 7) + (s % 3) * 4000;
-        w.schedule(s, period[s]);
+        t.schedule(s, period[s]);
     }
     std::size_t fired = 0;
+    Cycle now = 0;
     auto t0 = std::chrono::steady_clock::now();
     while (fired < events) {
-        auto p = w.popEarliest();
+        auto p = t.popEarliest();
         std::uint64_t m = p->sources;
-        Cycle now = p->cycle;
+        now = p->cycle;
         while (m != 0) {
             auto s = static_cast<unsigned>(std::countr_zero(m));
             m &= m - 1;
-            w.schedule(s, now + period[s]);
+            t.schedule(s, now + period[s]);
             ++fired;
         }
     }
     auto t1 = std::chrono::steady_clock::now();
-    benchmarkSink = static_cast<double>(w.cursor());
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           static_cast<double>(fired);
-}
-
-/**
- * The replaced scheme for reference: a linear scan over every
- * source's next-due cycle per step, O(sources) per dispatch.
- */
-double
-pollScanNs(unsigned sources, std::size_t events)
-{
-    std::vector<Cycle> due(sources), period(sources);
-    for (unsigned s = 0; s < sources; ++s) {
-        period[s] = 4 + 37 * (s % 7) + (s % 3) * 4000;
-        due[s] = period[s];
-    }
-    std::size_t fired = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    while (fired < events) {
-        Cycle best = due[0];
-        for (unsigned s = 1; s < sources; ++s)
-            best = std::min(best, due[s]);
-        for (unsigned s = 0; s < sources; ++s)
-            if (due[s] == best) {
-                due[s] = best + period[s];
-                ++fired;
-            }
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    benchmarkSink = static_cast<double>(due[0]);
+    benchmarkSink = static_cast<double>(now);
     return std::chrono::duration<double, std::nano>(t1 - t0).count() /
            static_cast<double>(fired);
 }
@@ -112,19 +83,15 @@ pollScanNs(unsigned sources, std::size_t events)
 void
 benchDispatch(bench::JsonReport &json)
 {
-    bench::banner("next-event dispatch (wheel vs poll scan)");
+    bench::banner("next-event dispatch (next-due table)");
     std::size_t events = g_smoke ? 64 : 4'000'000;
     for (unsigned sources : {1u, 4u, 8u, 16u}) {
-        double wheel = wheelDispatchNs(sources, events);
-        double poll = pollScanNs(sources, events);
-        std::printf("dispatch %2u sources: wheel %7.1f ns/event "
-                    "(%8.2f Mev/s)   poll %7.1f ns/event\n",
-                    sources, wheel, 1e3 / wheel, poll);
-        std::string tag = std::to_string(sources) + "_sources";
-        json.metric("wheel_dispatch_" + tag, wheel, "ns/event");
-        json.metric("wheel_dispatch_rate_" + tag, 1e9 / wheel,
-                    "events/s");
-        json.metric("poll_dispatch_" + tag, poll, "ns/event");
+        double ns = dispatchNs(sources, events);
+        std::printf("dispatch %2u sources: %7.1f ns/event "
+                    "(%8.2f Mev/s)\n",
+                    sources, ns, 1e3 / ns);
+        json.metric("dispatch_" + std::to_string(sources) + "_sources",
+                    ns, "ns/event");
     }
 }
 

@@ -15,6 +15,12 @@ QumaMachine::QumaMachine(MachineConfig config) : cfg(std::move(config))
         fatal("machine needs at least one qubit");
     if (cfg.numAwgs == 0)
         fatal("machine needs at least one AWG");
+    // Before anything is built: an oversized numAwgs would otherwise
+    // allocate its queues and AWG boards first.
+    if (numEventSources() > timing::NextDueTable::kMaxSources)
+        fatal("machine has ", numEventSources(),
+              " event sources; at most ",
+              timing::NextDueTable::kMaxSources, " are supported");
 
     unsigned nq = static_cast<unsigned>(cfg.qubits.size());
 
@@ -82,11 +88,6 @@ QumaMachine::QumaMachine(MachineConfig config) : cfg(std::move(config))
 
     chipSim = std::make_unique<qsim::TransmonChip>(cfg.qubits,
                                                    cfg.chipSeed);
-    if (numEventSources() > timing::EventWheel::kMaxSources)
-        fatal("machine has ", numEventSources(),
-              " event sources; the event wheel supports at most ",
-              timing::EventWheel::kMaxSources);
-    wheel = timing::EventWheel(numEventSources());
     mdWriteMode.assign(nq, {true, 0});
     msmtDelay = cfg.msmtPathDelayCycles >= 0
                     ? static_cast<Cycle>(cfg.msmtPathDelayCycles)
@@ -225,7 +226,7 @@ QumaMachine::stats() const
     s.queues = tcu->queueStats();
     s.exec = exec->stats();
     s.microInstsIssued = qp->microInstsIssued();
-    s.wheel = wheel.stats();
+    s.wheel = nextDue.stats();
     return s;
 }
 
@@ -246,8 +247,7 @@ QumaMachine::reset()
     collector.reset();
     recorder.clear();
     mdWriteMode.assign(cfg.qubits.size(), {true, 0});
-    wheel.clear();
-    wheel.clearStats();
+    nextDue.clear();
     ran = false;
 }
 
@@ -376,23 +376,23 @@ QumaMachine::run(Cycle max_cycles)
     const unsigned sQp = srcQp();
     const unsigned sExec = srcExec();
 
-    // Every component registers its next due cycle in the event
-    // wheel after being touched; the loop pops the global minimum in
-    // O(1) amortized instead of re-polling every nextEventCycle()
-    // per step. A source is touched (and must re-register) when it
-    // was due at the popped cycle or a cross-component sink woke it
-    // this cycle (wokenMask); the TCU, pipeline and execution
-    // controller are touched every visited cycle -- re-polling is
-    // what unblocks a backpressured producer, and the TCU's lateness
-    // accounting needs to observe every visited cycle.
-    wheel.clear();
-    wheel.clearStats();
+    // Every component records its next due cycle in the next-due
+    // table after being touched, and the loop pops the minimum with
+    // one scan of the table rather than re-polling every
+    // nextEventCycle() per step. A source is touched (and must
+    // re-register) when it was due at the popped cycle or a
+    // cross-component sink woke it this cycle (wokenMask); the TCU,
+    // pipeline and execution controller are touched every visited
+    // cycle -- re-polling is what unblocks a backpressured producer,
+    // and the TCU's lateness accounting needs to observe every
+    // visited cycle.
+    nextDue.clear();
     auto reschedule = [this](unsigned src, std::optional<Cycle> c,
                              Cycle now) {
         if (c)
-            wheel.schedule(src, std::max(*c, now + 1));
+            nextDue.schedule(src, std::max(*c, now + 1));
         else
-            wheel.cancel(src);
+            nextDue.cancel(src);
     };
 
     tcu->start(0);
@@ -438,7 +438,7 @@ QumaMachine::run(Cycle max_cycles)
 
         // A blocked producer is woken by whatever event frees it; if
         // nothing is scheduled at all, decide between done and wedged.
-        auto popped = wheel.popEarliest();
+        auto popped = nextDue.popEarliest();
         if (!popped) {
             bool done = exec->halted() && qp->empty() &&
                         tcu->allQueuesEmpty();

@@ -30,7 +30,7 @@
 #include "quma/execcontroller.hh"
 #include "quma/qmb.hh"
 #include "quma/trace.hh"
-#include "timing/wheel.hh"
+#include "timing/next_due.hh"
 
 namespace quma::core {
 
@@ -123,8 +123,8 @@ struct MachineStats
     timing::TimingUnitStats queues;
     ExecStats exec;
     std::size_t microInstsIssued = 0;
-    /** Event-wheel counters of the most recent run. */
-    timing::EventWheelStats wheel;
+    /** Next-event dispatch counters of the most recent run. */
+    timing::NextDueStats wheel;
 };
 
 class QumaMachine
@@ -210,7 +210,7 @@ class QumaMachine
 
     [[noreturn]] void reportWedge(Cycle now) const;
 
-    // --- event-wheel source ids (bit positions in the due/woken
+    // --- event source ids (bit positions in the due/woken
     //     masks; fixed processing order = fixed dispatch order) ---
     static constexpr unsigned kSrcTcu = 0;
     unsigned srcAwg(unsigned a) const { return 1 + a; }
@@ -222,7 +222,12 @@ class QumaMachine
                static_cast<unsigned>(cfg.qubits.size());
     }
     unsigned srcExec() const { return srcQp() + 1; }
-    unsigned numEventSources() const { return srcExec() + 1; }
+    /** srcExec() + 1, in 64 bits: numAwgs may be any u32 off the wire
+     *  (UINT32_MAX + 4 in u32 would wrap to 3). */
+    std::uint64_t numEventSources() const
+    {
+        return std::uint64_t{cfg.numAwgs} + cfg.qubits.size() + 4;
+    }
 
     MachineConfig cfg;
     QubitRouting routing;
@@ -242,10 +247,10 @@ class QumaMachine
     /** Resolved measurement path delay (cycles). */
     Cycle msmtDelay = 0;
 
-    /** Next-event index over all sources; cleared per run. */
-    timing::EventWheel wheel;
+    /** Next due cycle of every source; cleared per run. */
+    timing::NextDueTable nextDue;
     /** Sources poked by a cross-component sink this cycle; their
-     *  advanceTo must run even if the wheel had them idle. */
+     *  advanceTo must run even if they had nothing due. */
     std::uint64_t wokenMask = 0;
 
     bool calibrated = false;

@@ -516,7 +516,8 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
         "Rounds moved between workers by shard stealing.");
     bound.eventsDispatched = registry.counter(
         "quma_wheel_events_dispatched_total",
-        "Event-wheel pops performed by machines running jobs.");
+        "Event-source dispatches (sources popped from the "
+        "next-due table) performed by machines running jobs.");
     static constexpr const char *kClassNames[3] = {"batch", "normal",
                                                    "high"};
     for (std::size_t cls = 0; cls < bound.latency.size(); ++cls)
@@ -564,8 +565,8 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
                          return poolWaitEwma;
                      });
     registry.gaugeFn("quma_wheel_occupancy_high_water",
-                     "Largest number of simultaneously registered "
-                     "event sources seen in any machine run.",
+                     "Largest number of event sources registered at "
+                     "once in any machine run's next-due table.",
                      {}, [this] {
                          std::lock_guard<std::mutex> lock(mu);
                          return static_cast<double>(

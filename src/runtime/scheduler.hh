@@ -216,9 +216,9 @@ class JobScheduler
         std::size_t shardsStolen = 0;
         /** Rounds handed to thieves by those steals. */
         std::size_t roundsStolen = 0;
-        /** Event-wheel dispatches summed over executed runs. */
+        /** Event-source dispatches summed over executed runs. */
         std::size_t eventsDispatched = 0;
-        /** Highest event-wheel occupancy any run reached. */
+        /** Most event sources any run had registered at once. */
         std::size_t wheelHighWater = 0;
         /** Stale timing-queue drops summed over executed runs. */
         std::size_t staleEventDrops = 0;

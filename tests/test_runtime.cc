@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -229,6 +230,27 @@ TEST(Scheduler, InvalidMachineConfigFailsTheJobNotTheService)
     setLogQuiet(false);
 }
 
+TEST(Scheduler, OversizedMachineConfigIsRejectedBeforeAnythingIsBuilt)
+{
+    // numAwgs is a raw u32 on the wire. The event-source cap (64) is
+    // checked before any queue or AWG is built, in 64-bit arithmetic
+    // (UINT32_MAX + 4 wraps to 3 in u32).
+    setLogQuiet(true);
+    JobSpec bad = shotJob(2, 0x3);
+    bad.machine.numAwgs = std::numeric_limits<std::uint32_t>::max();
+    auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(core::QumaMachine{bad.machine}, FatalError);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(1));
+
+    ExperimentService svc({.workers = 1});
+    JobResult r = svc.runSync(std::move(bad));
+    EXPECT_TRUE(r.failed());
+    EXPECT_NE(r.error.find("event sources"), std::string::npos);
+    EXPECT_FALSE(svc.runSync(shotJob(2, 0x4)).failed());
+    setLogQuiet(false);
+}
+
 TEST(Scheduler, BoundedResultRetentionAgesOutOldJobs)
 {
     setLogQuiet(true);
@@ -423,7 +445,7 @@ TEST(Sharding, IdleWorkersStealFromASlowShard)
     EXPECT_GT(s.shardsStolen, 0u);
     EXPECT_GT(s.roundsStolen, 0u);
     EXPECT_GE(s.shardsExecuted, 1u + s.shardsStolen);
-    // The wheel counters flow through the per-run samples.
+    // The dispatch counters flow through the per-run samples.
     EXPECT_GT(s.eventsDispatched, 0u);
     EXPECT_GT(s.wheelHighWater, 0u);
 }
@@ -549,13 +571,19 @@ TEST(Admission, TrySubmitShedsLoadWhileSaturated)
 {
     ExperimentService svc({.workers = 1,
                            .queueCapacity = 32,
+                           .poolCapacity = 1,
                            .saturationAlpha = 1.0});
     ASSERT_FALSE(svc.runSync(saturatingJob(8, 0x6a)).failed());
     ASSERT_EQ(svc.scheduler().effectiveQueueCapacity(), 8u);
 
+    // Hold the pool's only machine: the worker takes the flood's
+    // first job and blocks in acquire, so it drains nothing while
+    // this thread floods, however the two threads are scheduled.
+    MachinePool::Lease hold =
+        svc.pool().acquire(saturatingJob(8, 0x6a).machine);
+
     // Flood: the effective bound (8) rejects well below the hard
-    // bound (32). The worker can drain at most a couple of jobs
-    // while this loop runs, so rejections are guaranteed.
+    // bound (32).
     std::vector<JobId> accepted;
     unsigned rejected = 0;
     for (unsigned i = 0; i < 32; ++i) {
@@ -567,6 +595,7 @@ TEST(Admission, TrySubmitShedsLoadWhileSaturated)
     }
     EXPECT_GT(rejected, 0u);
     EXPECT_GE(svc.scheduler().stats().admissionSoftRejects, 1u);
+    hold.release();
     svc.drain();
     for (JobId id : accepted)
         EXPECT_FALSE(svc.await(id).failed());
