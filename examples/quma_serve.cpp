@@ -216,8 +216,7 @@ main(int argc, char **argv)
                     "\"scheduler\":{\"submitted\":%zu,"
                     "\"completed\":%zu,\"failed\":%zu,"
                     "\"cancelled\":%zu,\"queueHighWater\":%zu,"
-                    "\"shardsExecuted\":%zu,\"shardsStolen\":%zu,"
-                    "\"roundsStolen\":%zu},"
+                    "\"shardsExecuted\":%zu},"
                     "\"pool\":{\"machinesCreated\":%zu,"
                     "\"acquisitions\":%zu,\"reuseHits\":%zu},"
                     "\"cache\":{\"programHits\":%zu,"
@@ -234,8 +233,6 @@ main(int argc, char **argv)
                     st.scheduler.failed, st.scheduler.cancelled,
                     st.scheduler.queueHighWater,
                     st.scheduler.shardsExecuted,
-                    st.scheduler.shardsStolen,
-                    st.scheduler.roundsStolen,
                     st.pool.machinesCreated, st.pool.acquisitions,
                     st.pool.reuseHits, st.cache.programHits,
                     st.cache.programMisses,

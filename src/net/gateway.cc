@@ -64,13 +64,7 @@ mergeStatsFrame(StatsFrame &acc, const StatsFrame &s)
     a.shardedJobs += x.shardedJobs;
     a.shardsExecuted += x.shardsExecuted;
     a.saturatedRuns += x.saturatedRuns;
-    a.shardsStolen += x.shardsStolen;
-    a.roundsStolen += x.roundsStolen;
-    a.eventsDispatched += x.eventsDispatched;
-    a.wheelHighWater = std::max(a.wheelHighWater, x.wheelHighWater);
-    a.staleEventDrops += x.staleEventDrops;
     a.admissionSoftRejects += x.admissionSoftRejects;
-    a.progressNotifications += x.progressNotifications;
     a.machineSaturation =
         std::max(a.machineSaturation, x.machineSaturation);
     a.poolWaitEwmaSeconds =

@@ -379,8 +379,8 @@ struct TraceContext
 /**
  * Server-pushed shard progress for an awaited job (v4): rounds the
  * scheduler has completed out of the spec's total, across every
- * shard including stolen ranges. Monotonic per job; the terminal
- * AwaitReply -- not a 100% frame -- is the completion signal.
+ * shard. Monotonic per job; the terminal AwaitReply -- not a 100%
+ * frame -- is the completion signal.
  */
 struct ProgressFrameData
 {

@@ -65,8 +65,9 @@ JobScheduler::~JobScheduler()
         stop = true;
         // Tasks still queued will never run: fail their jobs so
         // awaiters unblock with a diagnosable result. A job with
-        // shards already running is failed here too; the late shard
-        // deliveries see the Failed status and drop their partials.
+        // shards already running is failed here too; those shards
+        // stop at their next round and their late deliveries see the
+        // Failed status and drop their partials.
         for (const Task &t : queue) {
             auto it = entries.find(t.id);
             if (it == entries.end())
@@ -81,7 +82,6 @@ JobScheduler::~JobScheduler()
             e.spec.reset();
             e.partials.clear();
             e.shardRanges.clear();
-            e.progress.clear();
             ++counters.failed;
             ms.failed.inc();
             // Shutdown failures notify too: a subscriber is promised
@@ -286,10 +286,6 @@ JobScheduler::enqueueLocked(JobSpec &&spec)
         e.shardRanges = {RoundRange{0, 1}};
     }
     e.partials.resize(e.shardRanges.size());
-    e.progress.resize(e.shardRanges.size());
-    for (std::size_t s = 0; s < e.shardRanges.size(); ++s)
-        e.progress[s] = {e.shardRanges[s].begin, e.shardRanges[s].end,
-                         false};
     e.shardsRemaining = e.shardRanges.size();
     if (e.shardRanges.size() > 1) {
         ++counters.shardedJobs;
@@ -507,13 +503,6 @@ JobScheduler::bindMetrics(metrics::MetricsRegistry &registry)
     bound.saturatedRuns = registry.counter(
         "quma_saturated_runs_total",
         "Runs whose machine reported timing-queue backpressure.");
-    bound.shardsStolen = registry.counter(
-        "quma_shards_stolen_total",
-        "Shards created by splitting a running shard's unclaimed "
-        "round tail onto an idle worker.");
-    bound.roundsStolen = registry.counter(
-        "quma_rounds_stolen_total",
-        "Rounds moved between workers by shard stealing.");
     bound.eventsDispatched = registry.counter(
         "quma_wheel_events_dispatched_total",
         "Event-source dispatches (sources popped from the "
@@ -746,8 +735,6 @@ JobScheduler::finishLocked(JobId id, JobResult &&result,
     e.spec.reset();
     e.partials.clear();
     e.shardRanges.clear();
-    e.progress.clear();
-    activeJobs.erase(id);
     if (failed) {
         ++counters.failed;
         ms.failed.inc();
@@ -792,11 +779,6 @@ JobScheduler::deliverShardLocked(JobId id, std::uint32_t shard,
     if (e.jobStatus == JobStatus::Done ||
         e.jobStatus == JobStatus::Failed)
         return;
-    // The shard is no longer a steal victim; zero its claim window
-    // so any unclaimed rounds of a FAILED shard are not stolen and
-    // run after the job's fate is already sealed.
-    if (shard < e.progress.size())
-        e.progress[shard] = {0, 0, false};
     e.partials[shard] = std::move(partial);
     quma_assert(e.shardsRemaining > 0, "shard delivered twice");
     if (--e.shardsRemaining == 0)
@@ -805,13 +787,12 @@ JobScheduler::deliverShardLocked(JobId id, std::uint32_t shard,
 
 /**
  * Deterministic merge: re-sum the per-round collector sums in global
- * round order. Every shard holds a contiguous round range (stealing
- * splits ranges but never interleaves them) and the shards are
- * visited sorted by range start, so the floating-point additions
- * happen in exactly the sequence round 0, 1, ..., N-1 -- the SAME
- * sequence for every partition, which is what makes the merged sums
- * (and hence the averages) bit-identical across 1-way, 2-way and
- * 4-way splits, stolen or not, at any worker count. An opaque job's
+ * round order. partitionRounds plans contiguous ranges in round
+ * order and the partials are indexed by shard, so the floating-point
+ * additions happen in exactly the sequence round 0, 1, ..., N-1 --
+ * the SAME sequence for every partition, which is what makes the
+ * merged sums (and hence the averages) bit-identical across 1-way,
+ * 2-way and 4-way splits at any worker count. An opaque job's
  * single partial merges to exactly the collector's own averages
  * (0.0 + s == s, and s is never -0.0 since the collector sums from
  * +0.0).
@@ -824,28 +805,17 @@ JobScheduler::mergeShardsLocked(JobId id)
     const JobSpec &spec = *e.spec;
     std::size_t bins = spec.bins ? spec.bins : 1;
 
-    // Stolen shards were appended as they were split off; restore
-    // global round order before merging.
-    std::vector<const ShardPartial *> order;
-    order.reserve(e.partials.size());
-    for (const ShardPartial &p : e.partials)
-        order.push_back(&p);
-    std::sort(order.begin(), order.end(),
-              [](const ShardPartial *a, const ShardPartial *b) {
-                  return a->range.begin < b->range.begin;
-              });
-
     JobResult merged;
-    for (const ShardPartial *p : order) {
-        if (!p->error.empty()) {
+    for (const ShardPartial &p : e.partials) {
+        if (!p.error.empty()) {
             // An opaque job's one range is the whole job: its error
             // reads exactly as the failure itself.
             merged.error = spec.rounds == 0
-                               ? p->error
+                               ? p.error
                                : "shard covering rounds " +
-                                     std::to_string(p->range.begin) +
-                                     ".." + std::to_string(p->range.end) +
-                                     " failed: " + p->error;
+                                     std::to_string(p.range.begin) +
+                                     ".." + std::to_string(p.range.end) +
+                                     " failed: " + p.error;
             break;
         }
     }
@@ -856,15 +826,7 @@ JobScheduler::mergeShardsLocked(JobId id)
         std::vector<std::size_t> cnt(bins, 0);
         std::vector<std::size_t> bitCnt(bins, 0);
         bool first = true;
-        for (const ShardPartial *pp : order) {
-            const ShardPartial &p = *pp;
-            // Defensive: a shard whose rounds were all stolen away
-            // before it ran contributes nothing (cannot happen with
-            // the current claim rules, which always leave the victim
-            // at least one round -- but an empty partial must never
-            // poison the halted AND below).
-            if (p.range.size() == 0 && p.samples == 0)
-                continue;
+        for (const ShardPartial &p : e.partials) {
             std::size_t rows = p.range.size();
             for (std::size_t r = 0; r < rows; ++r)
                 for (std::size_t b = 0; b < bins; ++b) {
@@ -896,13 +858,12 @@ JobScheduler::mergeShardsLocked(JobId id)
 
 JobScheduler::ShardPartial
 JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
-                       JobId id, std::uint32_t shard, RoundRange range,
-                       RunSample &sample)
+                       JobId id, RoundRange range, RunSample &sample)
 {
     ShardPartial p;
-    // The claimed range grows round by round; claims are contiguous
-    // from range.begin, so [range.begin, p.range.end) is always
-    // exactly the rounds this partial holds.
+    // The partial grows round by round from range.begin, so
+    // [range.begin, p.range.end) is always exactly the rounds it
+    // holds -- the whole range unless shutdown stopped it early.
     p.range = {range.begin, range.begin};
     // An opaque job's single "round" is its whole program: it runs on
     // the job-level streams and counts no rounds toward progress.
@@ -925,42 +886,28 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
         }
 
         bool first = true;
-        // The previous iteration's round is counted as DONE under
-        // the next claim's mutex hold (the loop re-enters it even to
-        // discover the range is exhausted), so the progress counter
-        // rides the lock the claim already takes.
-        bool countPrev = false;
-        for (;;) {
-            std::size_t r;
+        for (std::size_t r = range.begin;; ++r) {
             {
-                // Claim the next round under the scheduler mutex:
-                // the range may have shrunk (a thief took the tail)
-                // or vanished (the job failed at shutdown). Claims
-                // stay contiguous because only this worker advances
-                // the cursor.
-                std::lock_guard<std::mutex> claim(mu);
+                // One scheduler-mutex hold per round: it counts the
+                // previous round as done, and stops the shard here if
+                // shutdown failed its job meanwhile.
+                std::lock_guard<std::mutex> hold(mu);
                 auto it = entries.find(id);
-                if (it == entries.end())
+                if (it == entries.end() ||
+                    it->second.jobStatus == JobStatus::Failed)
                     break;
-                Entry &e = it->second;
-                if (countPrev) {
-                    noteRoundDoneLocked(id, e);
-                    countPrev = false;
-                }
-                if (shard >= e.progress.size())
-                    break; // job already finished/failed
-                ShardProgress &pr = e.progress[shard];
-                if (pr.cursor >= pr.end)
+                if (r > range.begin && !opaque)
+                    noteRoundDoneLocked(id, it->second);
+                if (r == range.end)
                     break;
-                r = pr.cursor++;
             }
             // Every round is a full session with its OWN RNG streams
             // derived from (seed, round): the draws a round sees
             // never depend on which machine it ran on or which
             // rounds preceded it there, so any partition of the
-            // rounds -- including one rebalanced by stealing --
-            // replays them exactly. An opaque job's one run keeps
-            // the job-level streams of a single-machine session.
+            // rounds replays them exactly. An opaque job's one run
+            // keeps the job-level streams of a single-machine
+            // session.
             machine.reset(
                 Rng::derive(spec.seed,
                             opaque ? kChipStream : chipStreamOf(r)),
@@ -991,7 +938,6 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
             auto st = machine.stats();
             sample.absorb(st, machineSaturated(st));
             p.range.end = r + 1;
-            countPrev = !opaque;
         }
     } catch (const std::exception &ex) {
         p = ShardPartial{};
@@ -999,72 +945,6 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
         p.error = ex.what();
     }
     return p;
-}
-
-bool
-JobScheduler::stealableLocked() const
-{
-    const std::size_t floor = stealFloor();
-    for (JobId id : activeJobs) {
-        auto it = entries.find(id);
-        if (it == entries.end())
-            continue;
-        for (const ShardProgress &pr : it->second.progress)
-            if (pr.running && pr.end > pr.cursor &&
-                pr.end - pr.cursor >= floor)
-                return true;
-    }
-    return false;
-}
-
-std::optional<JobScheduler::Task>
-JobScheduler::stealLocked()
-{
-    const std::size_t floor = stealFloor();
-    JobId bestId = 0;
-    std::size_t bestShard = 0;
-    std::size_t bestRemaining = 0;
-    for (JobId id : activeJobs) {
-        auto it = entries.find(id);
-        if (it == entries.end())
-            continue;
-        const Entry &e = it->second;
-        for (std::size_t s = 0; s < e.progress.size(); ++s) {
-            const ShardProgress &pr = e.progress[s];
-            if (!pr.running || pr.end <= pr.cursor)
-                continue;
-            std::size_t remaining = pr.end - pr.cursor;
-            if (remaining >= floor && remaining > bestRemaining) {
-                bestRemaining = remaining;
-                bestId = id;
-                bestShard = s;
-            }
-        }
-    }
-    if (bestRemaining == 0)
-        return std::nullopt;
-
-    // Split the victim's unclaimed tail in half. The victim always
-    // keeps at least one round (stolen < remaining), so no partial
-    // ever ends up empty.
-    Entry &e = entries.at(bestId);
-    ShardProgress &v = e.progress[bestShard];
-    std::size_t stolen = (v.end - v.cursor) / 2;
-    std::size_t mid = v.end - stolen;
-    std::size_t oldEnd = v.end;
-    v.end = mid;
-    auto shardIdx = static_cast<std::uint32_t>(e.shardRanges.size());
-    e.shardRanges.push_back({mid, oldEnd});
-    e.partials.emplace_back();
-    // Marked running immediately: the thief executes it without a
-    // queue round-trip, and its own tail is stealable meanwhile.
-    e.progress.push_back({mid, oldEnd, true});
-    ++e.shardsRemaining;
-    ++counters.shardsStolen;
-    ms.shardsStolen.inc();
-    counters.roundsStolen += stolen;
-    ms.roundsStolen.inc(static_cast<double>(stolen));
-    return Task{bestId, shardIdx};
 }
 
 void
@@ -1084,10 +964,7 @@ JobScheduler::takeTaskLocked(std::size_t slot)
 {
     Task task = queue[slot];
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(slot));
-    Entry &entry = entries.at(task.id);
-    entry.jobStatus = JobStatus::Running;
-    entry.progress[task.shard].running = true;
-    activeJobs.insert(task.id);
+    entries.at(task.id).jobStatus = JobStatus::Running;
     return task;
 }
 
@@ -1096,21 +973,11 @@ JobScheduler::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-        cvWork.wait(lock, [this] {
-            return stop || !queue.empty() || stealableLocked();
-        });
+        cvWork.wait(lock, [this] { return stop || !queue.empty(); });
         if (stop)
             return;
 
-        // Queue drained but a running range has rounds to spare:
-        // split its tail off as a fresh shard and run it here,
-        // without a queue round-trip.
-        std::optional<Task> next = queue.empty()
-                                       ? stealLocked()
-                                       : takeTaskLocked(pickBestLocked());
-        if (!next)
-            continue; // raced with the victim finishing
-        Task task = *next;
+        Task task = takeTaskLocked(pickBestLocked());
         const Entry &entry = entries.at(task.id);
         std::shared_ptr<const JobSpec> spec = entry.spec;
         const std::string key = entry.key;
@@ -1118,11 +985,6 @@ JobScheduler::workerLoop()
         ++inFlight;
         lock.unlock();
         cvSpace.notify_one();
-        // A newly started (or newly stolen) range is itself a steal
-        // candidate: wake idle workers so they can carve it up. One
-        // below the floor (every opaque job) wakes nobody.
-        if (range.size() >= stealFloor())
-            cvWork.notify_all();
 
         MachinePool::Lease lease;
         double acquireWait = 0.0;
@@ -1156,8 +1018,7 @@ JobScheduler::workerLoop()
             RunSample sample;
             traceRecord(task.id, TracePhase::ShardStart, task.shard);
             ShardPartial partial = runShard(*spec, lease.machine(),
-                                            task.id, task.shard, range,
-                                            sample);
+                                            task.id, range, sample);
             traceRecord(task.id, TracePhase::ShardFinish, task.shard);
             lock.lock();
             // shardsExecuted counts round-structured shards only: an
@@ -1188,8 +1049,6 @@ JobScheduler::workerLoop()
                     ms.batchedJobs.inc();
                     lock.unlock();
                     cvSpace.notify_one();
-                    if (range.size() >= stealFloor())
-                        cvWork.notify_all();
                     traceRecord(task.id, TracePhase::Leased,
                                 task.shard);
                     continue;

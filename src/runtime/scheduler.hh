@@ -12,16 +12,17 @@
  * starved by a continuous stream of fresh High jobs.
  *
  * ONE TASK PATH. Every job is a set of contiguous round ranges, one
- * task per range, and every task runs the same claim loop, partial
+ * task per range, and every task runs the same round loop, partial
  * and merge. A round-structured job is split by partitionRounds()
- * into shards that run in parallel on pooled machines; the worker
- * finishing the last shard merges the per-round collector sums in
- * global round order. An opaque job (JobSpec::rounds == 0) is the
- * single range {0, 1}: its one "round" is the whole program on the
- * job-level RNG streams. What a round computes differs between the
- * two kinds only in its stream selection (runtime/keys.hh); per-round
- * streams plus the order-preserving merge make the merged result
- * bit-identical for every shard count and worker count.
+ * into shards that run in parallel on pooled machines, each shard's
+ * whole range on the worker that dequeued it; the worker finishing
+ * the last shard merges the per-round collector sums in global round
+ * order. An opaque job (JobSpec::rounds == 0) is the single range
+ * {0, 1}: its one "round" is the whole program on the job-level RNG
+ * streams. What a round computes differs between the two kinds only
+ * in its stream selection (runtime/keys.hh); per-round streams plus
+ * the order-preserving merge make the merged result bit-identical
+ * for every shard count and worker count.
  *
  * BATCHING. After a task, while the worker still holds its machine
  * lease, it runs the next BEST task immediately if that task needs
@@ -34,18 +35,6 @@
  * network serving layer streams results with: a finished job's
  * JobResult frame leaves the server the moment the merge completes,
  * with no awaitFor polling loop holding a thread per pending job.
- *
- * WORK STEALING. A slow shard would otherwise gate its job's merge
- * while other workers idle. The executing worker claims its range's
- * rounds one at a time (contiguously, under the scheduler mutex) and
- * an idle worker may SPLIT the largest in-flight range: the tail half
- * of its unclaimed rounds becomes a new shard the thief runs
- * immediately. Because every round derives its RNG streams from
- * (seed, round) and the merge walks partials in round order, stealing
- * changes WHO runs a round but never WHAT it computes -- merged
- * results are bit-identical to an unstolen run, at any worker count.
- * An opaque job's one-round range is below the steal floor of 2, so
- * it is never split.
  *
  * ADMISSION. Executed jobs sample QumaMachine::stats(): a run whose
  * timing event queues rejected a push (producer backpressure; deep
@@ -71,7 +60,6 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -162,12 +150,6 @@ struct SchedulerConfig
      */
     JobTraceRecorder *trace = nullptr;
     /**
-     * A shard is a steal victim only while it still has at least
-     * this many unclaimed rounds (floored at 2 so the victim always
-     * keeps one and the thief always gets one).
-     */
-    std::size_t minStealRounds = 4;
-    /**
      * Minimum spacing between progress notifications per job (see
      * subscribeProgress). The first completed round after a
      * subscription notifies immediately; later rounds are coalesced
@@ -212,9 +194,8 @@ class JobScheduler
         std::size_t shardsExecuted = 0;
         /** Runs whose machine reported queue saturation. */
         std::size_t saturatedRuns = 0;
-        /** Shards created by stealing a running shard's tail. */
-        std::size_t shardsStolen = 0;
-        /** Rounds handed to thieves by those steals. */
+        /** Always 0: shards are never split after planning. Kept
+         *  only for the benchmark's rounds_stolen_frac reader. */
         std::size_t roundsStolen = 0;
         /** Event-source dispatches summed over executed runs. */
         std::size_t eventsDispatched = 0;
@@ -321,9 +302,8 @@ class JobScheduler
     /**
      * Repeating progress callback: (job, roundsDone, roundsTotal)
      * snapshots taken under the scheduler mutex, so successive
-     * deliveries for one job are monotonically non-decreasing --
-     * work stealing moves unclaimed rounds between shards but never
-     * un-completes one. roundsTotal is the spec's round count.
+     * deliveries for one job are monotonically non-decreasing.
+     * roundsTotal is the spec's round count.
      */
     using ProgressCallback =
         std::function<void(JobId, std::size_t, std::size_t)>;
@@ -396,22 +376,6 @@ class JobScheduler
         std::string error;
     };
 
-    /**
-     * Live claim state of one shard (work stealing). The executing
-     * worker claims rounds by advancing `cursor`; a thief shrinks
-     * `end` and appends the stolen tail as a new shard. All mutation
-     * happens under the scheduler mutex, so claimed ranges stay
-     * contiguous by construction.
-     */
-    struct ShardProgress
-    {
-        std::size_t cursor = 0;
-        std::size_t end = 0;
-        /** A shard is stealable only while a worker is executing it
-         *  (queued shards are picked up whole from the queue). */
-        bool running = false;
-    };
-
     struct Entry
     {
         std::shared_ptr<const JobSpec> spec;
@@ -424,16 +388,11 @@ class JobScheduler
         /** Submission instant (latency tracking reference point). */
         std::chrono::steady_clock::time_point submittedAt;
         /** Round ranges per shard ({0, 1} alone for an opaque
-         *  job). Stolen shards are appended, so ranges are not
-         *  sorted -- the merge orders partials by range.begin. */
+         *  job), in round order as partitionRounds planned them. */
         std::vector<RoundRange> shardRanges;
         std::vector<ShardPartial> partials;
-        /** Parallel to shardRanges (work-stealing claim state). */
-        std::vector<ShardProgress> progress;
         std::size_t shardsRemaining = 0;
-        /** Rounds completed across every shard, stolen ranges
-         *  included -- the per-shard claim windows cannot serve
-         *  here because delivery zeroes them. Mutated under mu
+        /** Rounds completed across every shard. Mutated under mu
          *  only, so progress snapshots are monotonic per job. */
         std::size_t roundsDone = 0;
         /** Last progress-notification instant (rate limiting);
@@ -491,22 +450,12 @@ class JobScheduler
     /** Queue a progress snapshot for every subscriber (rate-limited
      *  unless `force` -- the final 100% push is forced). */
     void queueProgressLocked(JobId id, Entry &entry, bool force);
+    /** Run `range` round by round on `machine`; stops early only
+     *  when shutdown fails the job. */
     ShardPartial runShard(const JobSpec &spec,
                           core::QumaMachine &machine, JobId id,
-                          std::uint32_t shard, RoundRange range,
-                          RunSample &sample);
-    /** Steal the tail half of the best victim shard, appending it as
-     *  a new shard of its job; nullopt when nothing is stealable. */
-    std::optional<Task> stealLocked();
-    bool stealableLocked() const;
-    /** Unclaimed rounds a running range needs to be a steal victim:
-     *  minStealRounds, floored at 2 so victim and thief both get
-     *  one. */
-    std::size_t stealFloor() const
-    {
-        return std::max<std::size_t>(cfg.minStealRounds, 2);
-    }
-    /** Dequeue queue[slot] and mark its range running. */
+                          RoundRange range, RunSample &sample);
+    /** Dequeue queue[slot] and mark its job running. */
     Task takeTaskLocked(std::size_t slot);
     /** Fold one task's machine samples into counters and EWMAs. */
     void noteRunLocked(const RunSample &sample);
@@ -542,8 +491,6 @@ class JobScheduler
         metrics::Counter shardedJobs;
         metrics::Counter shardsExecuted;
         metrics::Counter saturatedRuns;
-        metrics::Counter shardsStolen;
-        metrics::Counter roundsStolen;
         metrics::Counter eventsDispatched;
         /** Submit->finish latency, one series per priority class. */
         std::array<metrics::Histogram, 3> latency;
@@ -569,9 +516,6 @@ class JobScheduler
     std::condition_variable cvDone;
     std::deque<Task> queue;
     std::unordered_map<JobId, Entry> entries;
-    /** Jobs with ranges currently executing -- the steal scan's
-     *  candidate set, so idle workers never walk all entries. */
-    std::unordered_set<JobId> activeJobs;
     /** Finished ids, oldest first (drives bounded result retention). */
     std::deque<JobId> finishedOrder;
     /** Completion-order observable, a ring of the newest

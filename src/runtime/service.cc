@@ -77,7 +77,6 @@ schedulerConfigOf(const ServiceConfig &cfg, JobTraceRecorder *trace)
     sc.saturationAlpha = cfg.saturationAlpha;
     sc.poolWaitThresholdSeconds = cfg.poolWaitThresholdSeconds;
     sc.poolWaitAlpha = cfg.poolWaitAlpha;
-    sc.minStealRounds = cfg.minStealRounds;
     sc.progressInterval = cfg.progressInterval;
     sc.finishedHistoryLimit = cfg.finishedHistoryLimit;
     return sc;

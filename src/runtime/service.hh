@@ -52,8 +52,6 @@ struct ServiceConfig
     /** Pool-wait admission signal (see SchedulerConfig). */
     double poolWaitThresholdSeconds = 0.02;
     double poolWaitAlpha = 0.25;
-    /** Steal floor of work stealing (see SchedulerConfig). */
-    std::size_t minStealRounds = 4;
     /** Per-job progress-notification rate limit (see
      *  SchedulerConfig::progressInterval; 0 = every round). */
     std::chrono::milliseconds progressInterval{50};

@@ -377,10 +377,9 @@ TEST(ServiceJournal, ShutdownFailureDoesNotMarkPendingWorkComplete)
 /**
  * THE TENTPOLE PIN: a job that crashed while queued is recovered and
  * re-run bit-identically at EVERY scheduler shape -- any shard
- * count, any worker count, with idle workers stealing round tails.
- * Determinism makes the recovered result indistinguishable from the
- * uninterrupted run of one shard on one worker, where no thief
- * exists.
+ * count, any worker count. Determinism makes the recovered result
+ * indistinguishable from the uninterrupted run of one shard on one
+ * worker.
  */
 TEST(ServiceJournal, CrashRecoveryIsBitIdenticalAcrossSchedulerShapes)
 {
@@ -404,7 +403,6 @@ TEST(ServiceJournal, CrashRecoveryIsBitIdenticalAcrossSchedulerShapes)
     auto recoverAndRun = [](const std::string &path, unsigned workers) {
         ServiceConfig sc;
         sc.workers = workers;
-        sc.minStealRounds = 2;
         sc.journalPath = path;
         ExperimentService svc(sc);
         EXPECT_EQ(svc.recoveredIds().size(), 1u);

@@ -418,51 +418,87 @@ TEST(Wire, JobResultRoundTrip)
     EXPECT_EQ(decodeJobResult(rf), failure);
 }
 
+/**
+ * Every field encodeStatsFrame writes carries its own distinct nonzero
+ * value, so a field dropped from encode or decode (or two fields
+ * swapped) fails here.
+ */
 TEST(Wire, StatsFrameRoundTrip)
 {
     StatsFrame stats;
-    stats.scheduler.submitted = 10;
-    stats.scheduler.completed = 8;
-    stats.scheduler.failed = 1;
-    stats.scheduler.cancelled = 1;
-    stats.scheduler.shardedJobs = 2;
-    stats.scheduler.machineSaturation = 0.75;
-    stats.scheduler.poolWaitEwmaSeconds = 0.003;
-    stats.scheduler.latency[1] = {5, 0.01, 0.02, 0.05};
-    stats.scheduler.latency[2] = {2, 0.001, 0.002, 0.004};
-    stats.pool.machinesCreated = 3;
-    stats.pool.reuseHits = 7;
-    stats.pool.machineResets = 9;
-    stats.cache.programHits = 11;
-    stats.cache.programMisses = 4;
-    stats.cache.programEvictions = 1;
-    stats.cache.lutHits = 22;
-    stats.cache.lutMisses = 6;
-    stats.cache.lutEvictions = 2;
-    stats.effectiveQueueCapacity = 16;
+    auto &s = stats.scheduler;
+    s.submitted = 1;
+    s.rejected = 2;
+    s.completed = 3;
+    s.failed = 4;
+    s.cancelled = 5;
+    s.queueHighWater = 6;
+    s.batchedJobs = 7;
+    s.shardedJobs = 8;
+    s.shardsExecuted = 9;
+    s.saturatedRuns = 10;
+    s.admissionSoftRejects = 11;
+    s.machineSaturation = 0.75;
+    s.poolWaitEwmaSeconds = 0.003;
+    s.latency[0] = {12, 0.1, 0.2, 0.3};
+    s.latency[1] = {13, 0.01, 0.02, 0.05};
+    s.latency[2] = {14, 0.001, 0.002, 0.004};
+    auto &p = stats.pool;
+    p.machinesCreated = 15;
+    p.acquisitions = 16;
+    p.reuseHits = 17;
+    p.evictions = 18;
+    p.machineResets = 19;
+    p.idleMachines = 20;
+    p.leasedMachines = 21;
+    auto &c = stats.cache;
+    c.programHits = 22;
+    c.programMisses = 23;
+    c.programEvictions = 24;
+    c.lutHits = 25;
+    c.lutMisses = 26;
+    c.lutEvictions = 27;
+    stats.effectiveQueueCapacity = 28;
 
     Writer w;
     encodeStatsFrame(w, stats);
     Reader r(w.bytes());
     StatsFrame back = decodeStatsFrame(r);
     EXPECT_NO_THROW(r.expectEnd());
-    EXPECT_EQ(back.scheduler.submitted, 10u);
-    EXPECT_EQ(back.scheduler.cancelled, 1u);
-    EXPECT_EQ(back.scheduler.machineSaturation, 0.75);
-    EXPECT_EQ(back.scheduler.poolWaitEwmaSeconds, 0.003);
-    EXPECT_EQ(back.scheduler.latency[1].count, 5u);
-    EXPECT_EQ(back.scheduler.latency[1].p95, 0.02);
-    EXPECT_EQ(back.scheduler.latency[2].max, 0.004);
-    EXPECT_EQ(back.pool.machinesCreated, 3u);
-    EXPECT_EQ(back.pool.reuseHits, 7u);
-    EXPECT_EQ(back.pool.machineResets, 9u);
-    EXPECT_EQ(back.cache.programHits, 11u);
-    EXPECT_EQ(back.cache.programMisses, 4u);
-    EXPECT_EQ(back.cache.programEvictions, 1u);
-    EXPECT_EQ(back.cache.lutHits, 22u);
-    EXPECT_EQ(back.cache.lutMisses, 6u);
-    EXPECT_EQ(back.cache.lutEvictions, 2u);
-    EXPECT_EQ(back.effectiveQueueCapacity, 16u);
+    const auto &bs = back.scheduler;
+    EXPECT_EQ(bs.submitted, 1u);
+    EXPECT_EQ(bs.rejected, 2u);
+    EXPECT_EQ(bs.completed, 3u);
+    EXPECT_EQ(bs.failed, 4u);
+    EXPECT_EQ(bs.cancelled, 5u);
+    EXPECT_EQ(bs.queueHighWater, 6u);
+    EXPECT_EQ(bs.batchedJobs, 7u);
+    EXPECT_EQ(bs.shardedJobs, 8u);
+    EXPECT_EQ(bs.shardsExecuted, 9u);
+    EXPECT_EQ(bs.saturatedRuns, 10u);
+    EXPECT_EQ(bs.admissionSoftRejects, 11u);
+    EXPECT_EQ(bs.machineSaturation, 0.75);
+    EXPECT_EQ(bs.poolWaitEwmaSeconds, 0.003);
+    for (std::size_t i = 0; i < s.latency.size(); ++i) {
+        EXPECT_EQ(bs.latency[i].count, s.latency[i].count) << i;
+        EXPECT_EQ(bs.latency[i].p50, s.latency[i].p50) << i;
+        EXPECT_EQ(bs.latency[i].p95, s.latency[i].p95) << i;
+        EXPECT_EQ(bs.latency[i].max, s.latency[i].max) << i;
+    }
+    EXPECT_EQ(back.pool.machinesCreated, 15u);
+    EXPECT_EQ(back.pool.acquisitions, 16u);
+    EXPECT_EQ(back.pool.reuseHits, 17u);
+    EXPECT_EQ(back.pool.evictions, 18u);
+    EXPECT_EQ(back.pool.machineResets, 19u);
+    EXPECT_EQ(back.pool.idleMachines, 20u);
+    EXPECT_EQ(back.pool.leasedMachines, 21u);
+    EXPECT_EQ(back.cache.programHits, 22u);
+    EXPECT_EQ(back.cache.programMisses, 23u);
+    EXPECT_EQ(back.cache.programEvictions, 24u);
+    EXPECT_EQ(back.cache.lutHits, 25u);
+    EXPECT_EQ(back.cache.lutMisses, 26u);
+    EXPECT_EQ(back.cache.lutEvictions, 27u);
+    EXPECT_EQ(back.effectiveQueueCapacity, 28u);
 }
 
 TEST(Wire, ErrorFrameRoundTrip)
@@ -1387,12 +1423,11 @@ TEST(Loopback, SubmitCarriesTraceContextToServerRecorder)
 TEST(Loopback, ProgressStreamsMonotonicallyBitIdenticalEverywhere)
 {
     // THE progress acceptance sweep: the same AllXY job at every
-    // shards x workers combination, with idle workers stealing round
-    // tails, must (a) stream monotonic progress ending exactly at
-    // done == total ahead of the result, and (b) produce the
-    // bit-identical JobResult the quiet in-process run of one shard
-    // on one worker (where no thief exists) produces -- observability
-    // must never perturb the physics.
+    // shards x workers combination must (a) stream monotonic progress
+    // ending exactly at done == total ahead of the result, and (b)
+    // produce the bit-identical JobResult the quiet in-process run of
+    // one shard on one worker produces -- observability must never
+    // perturb the physics.
     experiments::AllxyConfig cfg;
     cfg.rounds = 32;
     cfg.seed = 0xa11c;

@@ -355,99 +355,36 @@ TEST(Sharding, PartitionRoundsIsBalancedAndClamped)
  * JobResult -- bit for bit -- no matter how its rounds are split
  * across machines or how many workers drain the shards. Each round
  * derives its RNG streams from (seed, round index) and the merge
- * re-sums per-round collector sums in global round order.
+ * re-sums per-round collector sums in global round order. Checked
+ * over the full {1, 2, 4} shards x {1, 2, 4} workers grid against
+ * one shard on one worker, for two seeds.
  */
 TEST(Sharding, ShardMergeIsBitIdenticalAcrossSplitsAndWorkers)
 {
-    auto run = [](std::size_t shards, unsigned workers) {
+    auto run = [](std::uint64_t seed, std::size_t shards,
+                  unsigned workers) {
         ExperimentService svc({.workers = workers});
-        JobSpec job = shotJob(1, 0xdead); // one-round body
+        JobSpec job = shotJob(1, seed); // one-round body
         job.rounds = 32;
         job.shards = shards;
         job.minRoundsPerShard = 8;
         return svc.runSync(std::move(job));
     };
 
-    JobResult oneWay = run(1, 1);
-    ASSERT_FALSE(oneWay.failed());
-    EXPECT_TRUE(oneWay.run.halted);
-    EXPECT_EQ(oneWay.sampleCount, 32u);
+    for (std::uint64_t seed : {std::uint64_t{0xdead},
+                               std::uint64_t{0x57ea1}}) {
+        JobResult oneWay = run(seed, 1, 1);
+        ASSERT_FALSE(oneWay.failed()) << "seed=" << seed;
+        EXPECT_TRUE(oneWay.run.halted);
+        EXPECT_EQ(oneWay.sampleCount, 32u);
 
-    EXPECT_EQ(oneWay, run(2, 1));
-    EXPECT_EQ(oneWay, run(2, 4));
-    EXPECT_EQ(oneWay, run(4, 2));
-    EXPECT_EQ(oneWay, run(4, 4));
-}
-
-/**
- * Work stealing rebalances shards at round granularity, and because
- * every round's RNG streams are derived from (seed, round) and the
- * merge re-sums in global round order, the result must stay
- * bit-identical at every worker and shard count to the run of one
- * shard on one worker, where no thief exists.
- */
-TEST(Sharding, StealingKeepsMergesBitIdentical)
-{
-    auto run = [](std::size_t shards, unsigned workers) {
-        ServiceConfig sc;
-        sc.workers = workers;
-        sc.minStealRounds = 2;
-        ExperimentService svc(sc);
-        JobSpec job = shotJob(1, 0x57ea1); // one-round body
-        job.rounds = 32;
-        job.shards = shards;
-        job.minRoundsPerShard = 8;
-        return svc.runSync(std::move(job));
-    };
-
-    JobResult pinned = run(1, 1);
-    ASSERT_FALSE(pinned.failed());
-    EXPECT_EQ(pinned.sampleCount, 32u);
-
-    for (std::size_t shards : {std::size_t{1}, std::size_t{2},
-                               std::size_t{4}})
-        for (unsigned workers : {1u, 2u, 4u})
-            EXPECT_EQ(pinned, run(shards, workers))
-                << "shards=" << shards << " workers=" << workers;
-}
-
-/**
- * The forced-slow-shard case: ONE shard holds every round of a large
- * sweep while three workers idle. The idle workers must split off
- * tail shards (stats().shardsStolen > 0) and the merged result must
- * still match the serial pin.
- */
-TEST(Sharding, IdleWorkersStealFromASlowShard)
-{
-    // A 32-shot round body keeps each round busy long enough that
-    // the idle workers' wakeup is never the bottleneck.
-    JobResult pinned = [] {
-        ExperimentService svc({.workers = 1});
-        JobSpec job = shotJob(32, 0x5709);
-        job.rounds = 64;
-        job.shards = 1;
-        return svc.runSync(std::move(job));
-    }();
-    ASSERT_FALSE(pinned.failed());
-
-    ServiceConfig sc;
-    sc.workers = 4;
-    sc.minStealRounds = 2;
-    ExperimentService svc(sc);
-    JobSpec job = shotJob(32, 0x5709);
-    job.rounds = 64;
-    job.shards = 1; // everything lands on one worker...
-    JobResult r = svc.runSync(std::move(job));
-    ASSERT_FALSE(r.failed());
-    EXPECT_EQ(r, pinned);
-    // ...until the other three steal from its tail.
-    auto s = svc.scheduler().stats();
-    EXPECT_GT(s.shardsStolen, 0u);
-    EXPECT_GT(s.roundsStolen, 0u);
-    EXPECT_GE(s.shardsExecuted, 1u + s.shardsStolen);
-    // The dispatch counters flow through the per-run samples.
-    EXPECT_GT(s.eventsDispatched, 0u);
-    EXPECT_GT(s.wheelHighWater, 0u);
+        for (std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}})
+            for (unsigned workers : {1u, 2u, 4u})
+                EXPECT_EQ(oneWay, run(seed, shards, workers))
+                    << "seed=" << seed << " shards=" << shards
+                    << " workers=" << workers;
+    }
 }
 
 TEST(Sharding, ShardsRunInParallelAndCountersTrackThem)
@@ -461,9 +398,11 @@ TEST(Sharding, ShardsRunInParallelAndCountersTrackThem)
     ASSERT_FALSE(r.failed());
     auto s = svc.scheduler().stats();
     EXPECT_EQ(s.shardedJobs, 1u);
-    // Stealing may split the planned shards further; never fewer.
-    EXPECT_GE(s.shardsExecuted, 4u);
+    EXPECT_EQ(s.shardsExecuted, 4u);
     EXPECT_EQ(s.completed, 1u); // shards are tasks, not jobs
+    // The dispatch counters flow through the per-run samples.
+    EXPECT_GT(s.eventsDispatched, 0u);
+    EXPECT_GT(s.wheelHighWater, 0u);
 }
 
 TEST(Sharding, ShardFailureFailsTheWholeJob)
@@ -479,6 +418,48 @@ TEST(Sharding, ShardFailureFailsTheWholeJob)
     EXPECT_TRUE(r.failed());
     EXPECT_NE(r.error.find("shard"), std::string::npos);
     setLogQuiet(false);
+}
+
+/**
+ * Shutdown with a job half started: the worker has dequeued its first
+ * shard (and blocks leasing the pool's only machine, which this test
+ * holds) while its second shard is still queued. ~JobScheduler fails
+ * the job for the queued shard, and the running shard must then stop
+ * at its next round boundary instead of running out its range. The
+ * held machine is handed back from the job's failure callback, so the
+ * shard's first round boundary comes after the job is already failed:
+ * it must run no round at all, however the threads are scheduled.
+ */
+TEST(Sharding, ShutdownStopsARunningShardAtTheNextRound)
+{
+    metrics::MetricsRegistry registry; // outlives the service
+    std::string error;
+    {
+        ExperimentService svc({.workers = 1, .poolCapacity = 1});
+        svc.scheduler().bindMetrics(registry);
+        JobSpec job = shotJob(1, 0x5d);
+        job.rounds = 64;
+        job.shards = 2;
+        job.minRoundsPerShard = 1;
+        auto hold = std::make_shared<MachinePool::Lease>(
+            svc.pool().acquire(job.machine));
+        JobId id = svc.submit(std::move(job));
+        while (svc.status(id) != JobStatus::Running)
+            std::this_thread::yield();
+        svc.scheduler().subscribe(
+            id, [hold, &error](JobId, std::shared_ptr<const JobResult> r) {
+                error = r->error;
+                hold->release();
+            });
+    } // ~JobScheduler: fails the job, then joins the worker
+    EXPECT_EQ(error, kShutdownJobError);
+    auto count = [&registry](const char *name) {
+        return registry.counter(name, "").value();
+    };
+    // The worker ran its dequeued shard task...
+    EXPECT_EQ(count("quma_shards_executed_total"), 1.0);
+    // ...but stopped it before the first round.
+    EXPECT_EQ(count("quma_wheel_events_dispatched_total"), 0.0);
 }
 
 TEST(Priority, HighClassOvertakesABacklog)
@@ -634,9 +615,7 @@ TEST(ServiceExperiments, LargeAllxySweepShardsBitIdentically)
         ExperimentService svc({.workers = 4});
         auto out = experiments::runAllxy(cfg, svc);
         EXPECT_EQ(svc.scheduler().stats().shardedJobs, 1u);
-        // Work stealing may split the planned 4 shards further when
-        // a worker goes idle; never fewer.
-        EXPECT_GE(svc.scheduler().stats().shardsExecuted, 4u);
+        EXPECT_EQ(svc.scheduler().stats().shardsExecuted, 4u);
         return out;
     }();
     ASSERT_EQ(viaOne.rawS.size(), 42u);
@@ -920,9 +899,9 @@ TEST(Trace, ShardedJobTracksEveryShard)
         if (e.phase == TracePhase::Merge)
             merged = true;
     }
-    // At least the 4 planned shards; stealing may add split-off
-    // shards, each with its own start/finish pair.
-    EXPECT_GE(started.size(), 4u);
+    // Exactly the 4 planned shards, each with its own start/finish
+    // pair.
+    EXPECT_EQ(started.size(), 4u);
     EXPECT_EQ(finished, started);
     EXPECT_TRUE(merged);
 }
