@@ -12,23 +12,24 @@ UopSequenceTable::define(std::uint8_t uop, std::vector<SeqEntry> seq)
         fatal("micro-operation sequence must not be empty");
     if (seq.front().delta != 0)
         fatal("first codeword of a sequence must have delta 0");
+    if (table[uop].empty())
+        ++numDefined;
     table[uop] = std::move(seq);
 }
 
 bool
 UopSequenceTable::contains(std::uint8_t uop) const
 {
-    return table.count(uop) != 0;
+    return !table[uop].empty();
 }
 
 const std::vector<SeqEntry> &
 UopSequenceTable::sequenceFor(std::uint8_t uop) const
 {
-    auto it = table.find(uop);
-    if (it == table.end())
+    if (table[uop].empty())
         fatal("u-op unit has no sequence for micro-operation ",
               static_cast<unsigned>(uop));
-    return it->second;
+    return table[uop];
 }
 
 Cycle

@@ -14,8 +14,8 @@
 #ifndef QUMA_MICROCODE_SEQTABLE_HH
 #define QUMA_MICROCODE_SEQTABLE_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -44,7 +44,7 @@ class UopSequenceTable
     /** Total span (sum of deltas) of a sequence in cycles. */
     Cycle spanOf(std::uint8_t uop) const;
 
-    std::size_t size() const { return table.size(); }
+    std::size_t size() const { return numDefined; }
 
     /**
      * The standard table: pass-through for codewords 0..8 and
@@ -54,7 +54,9 @@ class UopSequenceTable
     static UopSequenceTable standard();
 
   private:
-    std::unordered_map<std::uint8_t, std::vector<SeqEntry>> table;
+    /** Sequence per micro-operation id; empty = undefined. */
+    std::array<std::vector<SeqEntry>, 256> table;
+    std::size_t numDefined = 0;
 };
 
 } // namespace quma::microcode

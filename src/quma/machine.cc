@@ -304,15 +304,13 @@ QumaMachine::onDrivePulse(unsigned awg_index,
         return; // measurement pulses travel via the digital outputs
     if (cw == isa::uops::Cz) {
         // Flux pulse: a CZ between the two addressed qubits.
-        std::vector<unsigned> qs;
-        for (unsigned q = 0; q < 32; ++q)
-            if (mask & (QubitMask{1} << q))
-                qs.push_back(q);
-        if (qs.size() != 2)
+        if (std::popcount(mask) != 2)
             fatal("CZ pulse must address exactly two qubits, got ",
-                  qs.size());
-        chipSim->applyCz(qs[0], qs[1], pulse.t0Ns,
-                         cfg.czDurationNs);
+                  std::popcount(mask));
+        chipSim->applyCz(
+            static_cast<unsigned>(std::countr_zero(mask)),
+            static_cast<unsigned>(std::countr_zero(mask & (mask - 1))),
+            pulse.t0Ns, cfg.czDurationNs);
         return;
     }
     for (unsigned q = 0; q < 32; ++q)

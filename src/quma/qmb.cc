@@ -28,134 +28,145 @@ QuantumPipeline::QuantumPipeline(microcode::QControlStore store,
                                  std::size_t buffer_depth,
                                  unsigned drain_rate)
     : cs(std::move(store)), route(std::move(routing)), tcu(timing),
-      recorder(trace), depth(buffer_depth), drainRate(drain_rate)
+      recorder(trace), buffer(buffer_depth), drainRate(drain_rate)
 {
     if (buffer_depth == 0 || drain_rate == 0)
         fatal("QuantumPipeline needs positive buffer depth and drain "
               "rate");
+    for (unsigned q = 0; q < route.driveAwg.size(); ++q) {
+        unsigned awg = route.driveAwg[q];
+        if (awg >= 64)
+            fatal("drive AWG ", awg, " out of range; at most 64 are "
+                  "supported");
+        if (awg >= awgQubits.size())
+            awgQubits.resize(awg + 1, 0);
+        if (q < 32)
+            awgQubits[awg] |= QubitMask{1} << q;
+    }
 }
 
 bool
 QuantumPipeline::tryDispatch(const isa::Instruction &inst)
 {
-    std::vector<isa::Instruction> expanded;
     switch (inst.op) {
       case isa::Opcode::Apply:
-        expanded = cs.expandApply(inst.gate, inst.qmask);
-        break;
       case isa::Opcode::MeasureQ:
-        expanded = cs.expandMeasure(inst.qmask, inst.rd);
-        break;
-      case isa::Opcode::Cnot:
-        expanded = cs.expandCnot(inst.rd, inst.rs);
-        break;
+      case isa::Opcode::Cnot: {
+        // All-or-nothing: the whole expansion fits or the controller
+        // retries the instruction.
+        auto expansion = cs.expand(inst);
+        if (buffer.size() + expansion.size() > buffer.capacity())
+            return false;
+        for (std::size_t i = 0; i < expansion.size(); ++i)
+            buffer.push(expansion[i]);
+        return true;
+      }
       case isa::Opcode::QWait:
       case isa::Opcode::Pulse:
       case isa::Opcode::Mpg:
-      case isa::Opcode::Md:
-        expanded = {inst};
-        break;
+      case isa::Opcode::Md: {
+        auto mi = microcode::MicroInst::of(inst);
+        if (buffer.full())
+            return false;
+        buffer.push(mi);
+        return true;
+      }
       case isa::Opcode::QWaitReg:
         panic("QWaitReg must be resolved to Wait before dispatch");
       default:
         panic("tryDispatch called with classical instruction '",
               isa::toString(inst), "'");
     }
-    if (buffer.size() + expanded.size() > depth)
-        return false;
-    for (auto &mi : expanded)
-        buffer.push_back(std::move(mi));
-    return true;
+}
+
+std::uint64_t
+QuantumPipeline::awgsOf(const isa::PulseSlot &slot) const
+{
+    // A CZ micro-operation is one flux pulse spanning both qubits:
+    // it goes whole to the first qubit's unit instead of being split
+    // per drive AWG.
+    if (slot.uop == isa::uops::Cz) {
+        quma_assert(slot.mask != 0, "CZ with empty mask");
+        return std::uint64_t{1}
+               << route.awgFor(static_cast<unsigned>(
+                      std::countr_zero(slot.mask)));
+    }
+    std::uint64_t awgs = 0;
+    for (QubitMask m = slot.mask; m != 0; m &= m - 1)
+        awgs |= std::uint64_t{1}
+                << route.awgFor(static_cast<unsigned>(std::countr_zero(m)));
+    return awgs;
 }
 
 bool
-QuantumPipeline::pushOne(const isa::Instruction &inst)
+QuantumPipeline::pushOne(const microcode::MicroInst &mi)
 {
-    switch (inst.op) {
+    switch (mi.op) {
       case isa::Opcode::QWait: {
         // No pre-check: a full queue rejects the push itself, which
         // also feeds the saturation counters (pushFailed).
         TimingLabel next = label + 1;
-        if (!tcu.pushTimePoint(static_cast<Cycle>(inst.imm), next))
+        if (!tcu.pushTimePoint(static_cast<Cycle>(mi.imm), next))
             return false;
         label = next;
         return true;
       }
       case isa::Opcode::Pulse: {
         // All-or-nothing: verify capacity across the addressed
-        // queues first. One event is pushed per (AWG, slot).
-        std::vector<std::pair<unsigned, timing::PulseEvent>> pushes;
-        for (const auto &slot : inst.slots) {
-            // A CZ micro-operation is one flux pulse spanning both
-            // qubits: route it whole (via the first qubit's unit)
-            // instead of splitting it per drive AWG.
+        // queues first. One event is pushed per (slot, AWG): slots in
+        // order, each slot's qubits grouped by AWG in ascending AWG
+        // order.
+        std::uint64_t slotAwgs[isa::kMaxPulseSlots] = {};
+        for (unsigned k = 0; k < mi.numSlots; ++k) {
+            slotAwgs[k] = awgsOf(mi.slots[k]);
+            for (std::uint64_t a = slotAwgs[k]; a != 0; a &= a - 1)
+                if (tcu.pulseQueueFull(
+                        static_cast<unsigned>(std::countr_zero(a))))
+                    return false;
+        }
+        for (unsigned k = 0; k < mi.numSlots; ++k) {
+            const isa::PulseSlot &slot = mi.slots[k];
             if (slot.uop == isa::uops::Cz) {
-                unsigned first = 0;
-                while (first < 32 &&
-                       !(slot.mask & (QubitMask{1} << first)))
-                    ++first;
-                quma_assert(first < 32, "CZ with empty mask");
-                pushes.emplace_back(
-                    route.awgFor(first),
-                    timing::PulseEvent{label, slot.mask, slot.uop});
+                tcu.pushPulse(static_cast<unsigned>(
+                                  std::countr_zero(slotAwgs[k])),
+                              timing::PulseEvent{label, slot.mask,
+                                                 slot.uop});
                 continue;
             }
-            // Group the slot's qubits by drive AWG.
-            std::vector<QubitMask> byAwg(route.driveAwg.size(), 0);
-            for (unsigned q = 0; q < 32; ++q) {
-                if (!(slot.mask & (QubitMask{1} << q)))
-                    continue;
-                unsigned awg = route.awgFor(q);
-                if (awg >= byAwg.size())
-                    byAwg.resize(awg + 1, 0);
-                byAwg[awg] |= QubitMask{1} << q;
-            }
-            for (unsigned awg = 0;
-                 awg < static_cast<unsigned>(byAwg.size()); ++awg) {
-                if (byAwg[awg] == 0)
-                    continue;
-                pushes.emplace_back(
-                    awg, timing::PulseEvent{label, byAwg[awg],
-                                            slot.uop});
+            for (std::uint64_t a = slotAwgs[k]; a != 0; a &= a - 1) {
+                auto awg = static_cast<unsigned>(std::countr_zero(a));
+                tcu.pushPulse(awg, timing::PulseEvent{
+                                       label, slot.mask & awgQubits[awg],
+                                       slot.uop});
             }
         }
-        for (const auto &[awg, ev] : pushes)
-            if (tcu.pulseQueueFull(awg))
-                return false;
-        for (const auto &[awg, ev] : pushes)
-            tcu.pushPulse(awg, ev);
         return true;
       }
       case isa::Opcode::Mpg: {
         if (tcu.mpgQueueFull())
             return false;
         return tcu.pushMpg(timing::MpgEvent{
-            label, inst.qmask, static_cast<Cycle>(inst.imm)});
+            label, mi.qmask, static_cast<Cycle>(mi.imm)});
       }
       case isa::Opcode::Md: {
-        bool single =
-            std::popcount(static_cast<std::uint32_t>(inst.qmask)) == 1;
-        std::vector<std::pair<unsigned, timing::MdEvent>> pushes;
-        for (unsigned q = 0; q < 32; ++q) {
-            if (!(inst.qmask & (QubitMask{1} << q)))
-                continue;
-            pushes.emplace_back(
-                route.mduFor(q),
-                timing::MdEvent{label, QubitMask{1} << q, inst.rd,
-                                single, q});
-        }
-        if (pushes.empty())
+        if (mi.qmask == 0)
             fatal("MD with empty qubit mask");
-        for (const auto &[mdu, ev] : pushes)
-            if (tcu.mdQueueFull(mdu))
+        bool single = std::popcount(mi.qmask) == 1;
+        for (QubitMask m = mi.qmask; m != 0; m &= m - 1)
+            if (tcu.mdQueueFull(route.mduFor(
+                    static_cast<unsigned>(std::countr_zero(m)))))
                 return false;
-        for (const auto &[mdu, ev] : pushes)
-            tcu.pushMd(mdu, ev);
+        for (QubitMask m = mi.qmask; m != 0; m &= m - 1) {
+            auto q = static_cast<unsigned>(std::countr_zero(m));
+            tcu.pushMd(route.mduFor(q),
+                       timing::MdEvent{label, QubitMask{1} << q, mi.rd,
+                                       single, q});
+        }
         return true;
       }
       default:
         panic("QMB holds a non-QuMIS instruction '",
-              isa::toString(inst), "'");
+              isa::toString(mi.toInstruction()), "'");
     }
 }
 
@@ -168,15 +179,16 @@ QuantumPipeline::drainAt(Cycle now)
     drainedThisCycle = true;
     blockedOnQueue = false;
     for (unsigned i = 0; i < drainRate && !buffer.empty(); ++i) {
-        const isa::Instruction &front = buffer.front();
+        const microcode::MicroInst &front = buffer.front();
         if (!pushOne(front)) {
             // Backpressure: park until a fire frees queue space (the
             // machine re-polls after every event).
             blockedOnQueue = true;
             break;
         }
-        recorder.recordMicroInst({now, front});
-        buffer.pop_front();
+        if (recorder.isEnabled())
+            recorder.recordMicroInst({now, front.toInstruction()});
+        buffer.pop();
         ++issued;
     }
 }

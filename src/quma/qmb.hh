@@ -20,15 +20,22 @@
  * Everything here runs in the non-deterministic timing domain: the
  * buffer drains as fast as the queues accept entries, and stalls on
  * backpressure without affecting deterministic output timing.
+ *
+ * Like the hardware it models, the path is fixed-size: the QMB is a
+ * Ring of plain-data microcode::MicroInst entries (inline Pulse
+ * slots, no heap members) bound straight from the control store's
+ * table, and decomposing an entry into events allocates nothing. With
+ * tracing off, a microinstruction is never turned back into an
+ * isa::Instruction.
  */
 
 #ifndef QUMA_QUMA_QMB_HH
 #define QUMA_QUMA_QMB_HH
 
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/ring.hh"
 #include "microcode/controlstore.hh"
 #include "quma/trace.hh"
 #include "timing/controller.hh"
@@ -56,6 +63,8 @@ class QuantumPipeline
                     unsigned drain_rate = 1);
 
     const microcode::QControlStore &controlStore() const { return cs; }
+    /** The store, for uploading custom microprograms. */
+    microcode::QControlStore &controlStore() { return cs; }
 
     /**
      * Accept one quantum instruction (registers already resolved:
@@ -87,14 +96,17 @@ class QuantumPipeline
     void reset();
 
   private:
-    bool pushOne(const isa::Instruction &inst);
+    bool pushOne(const microcode::MicroInst &mi);
+    /** Bit per pulse queue (AWG) a Pulse slot's events go to. */
+    std::uint64_t awgsOf(const isa::PulseSlot &slot) const;
 
     microcode::QControlStore cs;
     QubitRouting route;
+    /** Qubits driven by each AWG (bit q set when driveAwg[q] == a). */
+    std::vector<QubitMask> awgQubits;
     timing::TimingController &tcu;
     TraceRecorder &recorder;
-    std::deque<isa::Instruction> buffer;
-    std::size_t depth;
+    Ring<microcode::MicroInst> buffer;
     unsigned drainRate;
     TimingLabel label = 0;
     Cycle lastDrainCycle = 0;

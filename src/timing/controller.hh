@@ -187,6 +187,13 @@ class TimingController
     MdSink mdSink;
     FireObserver fireObserver;
 
+    /** fire()'s per-queue scratch: the events one label pops. */
+    std::vector<PulseEvent> firedPulses;
+    std::vector<MpgEvent> firedMpgs;
+    std::vector<MdEvent> firedMds;
+    /** Set while fire() runs its sinks (re-entry guard). */
+    bool firing = false;
+
     bool isStarted = false;
     Cycle lastFire = 0;
     /** Due cycle of the latest pushed time point (chained). */

@@ -1,15 +1,17 @@
 /**
  * @file
- * Bounded FIFO event queues used by the timing control unit.
+ * Bounded FIFO event queues used by the timing control unit, kept in
+ * a Ring (common/ring.hh): storage grows on demand up to the
+ * capacity and survives clear().
  */
 
 #ifndef QUMA_TIMING_QUEUES_HH
 #define QUMA_TIMING_QUEUES_HH
 
-#include <deque>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace quma::timing {
@@ -22,15 +24,15 @@ template <typename T>
 class EventQueue
 {
   public:
-    explicit EventQueue(std::size_t capacity = 64) : cap(capacity)
+    explicit EventQueue(std::size_t capacity = 64) : q(capacity)
     {
         quma_assert(capacity > 0, "queue capacity must be positive");
     }
 
-    std::size_t capacity() const { return cap; }
+    std::size_t capacity() const { return q.capacity(); }
     std::size_t size() const { return q.size(); }
     bool empty() const { return q.empty(); }
-    bool full() const { return q.size() >= cap; }
+    bool full() const { return q.full(); }
 
     /** Rejected pushes since the last clearStats() (backpressure). */
     std::size_t pushFailed() const { return pushFailedCount; }
@@ -49,7 +51,7 @@ class EventQueue
             ++pushFailedCount;
             return false;
         }
-        q.push_back(event);
+        q.push(event);
         if (q.size() > highWater)
             highWater = q.size();
         return true;
@@ -63,6 +65,14 @@ class EventQueue
         return q.front();
     }
 
+    /** Drop the front element; queue must not be empty. */
+    void
+    pop()
+    {
+        quma_assert(!q.empty(), "pop() on empty event queue");
+        q.pop();
+    }
+
     /**
      * Pop every front entry whose label matches `label` into `fired`.
      * Front entries with a SMALLER label are stale (their time point
@@ -73,13 +83,13 @@ class EventQueue
                 std::size_t &stale)
     {
         while (!q.empty() && q.front().label < label) {
-            q.pop_front();
+            q.pop();
             ++stale;
             ++staleDroppedCount;
         }
         while (!q.empty() && q.front().label == label) {
             fired.push_back(q.front());
-            q.pop_front();
+            q.pop();
         }
     }
 
@@ -87,9 +97,14 @@ class EventQueue
     std::vector<T>
     snapshot() const
     {
-        return std::vector<T>(q.begin(), q.end());
+        std::vector<T> out;
+        out.reserve(q.size());
+        for (std::size_t i = 0; i < q.size(); ++i)
+            out.push_back(q[i]);
+        return out;
     }
 
+    /** Drop the contents, keeping the storage. */
     void clear() { q.clear(); }
 
     /** Zero the saturation counters (queue contents untouched). */
@@ -102,8 +117,7 @@ class EventQueue
     }
 
   private:
-    std::deque<T> q;
-    std::size_t cap;
+    Ring<T> q;
     std::size_t pushFailedCount = 0;
     std::size_t highWater = 0;
     std::size_t staleDroppedCount = 0;

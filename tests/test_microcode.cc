@@ -112,6 +112,82 @@ TEST(ControlStore, HorizontalMicroStep)
     EXPECT_EQ(seq[0].slots[1].uop, u::Y90);
 }
 
+TEST(ControlStore, DefineRejectsPulseStepsWithBadSlotCounts)
+{
+    // Slots are stored inline, so a Pulse step must carry
+    // 1..kMaxPulseSlots of them: rejected at upload, not mid-run.
+    setLogQuiet(true);
+    QControlStore cs = QControlStore::standard();
+    Microprogram none;
+    none.name = "no-slots";
+    none.body.push_back(MicroStep::pulseMulti({}));
+    EXPECT_THROW(cs.define(42, none), quma::FatalError);
+
+    Microprogram four;
+    four.name = "four-slots";
+    four.body.push_back(MicroStep::pulseMulti({{QubitRole::All, u::X180},
+                                               {QubitRole::All, u::Y90},
+                                               {QubitRole::All, u::X90},
+                                               {QubitRole::All, u::Y180}}));
+    static_assert(isa::kMaxPulseSlots == 3);
+    EXPECT_THROW(cs.define(43, four), quma::FatalError);
+    // A rejected upload leaves the store as it was.
+    EXPECT_THROW(cs.define(u::H, four), quma::FatalError);
+    setLogQuiet(false);
+    EXPECT_FALSE(cs.contains(42));
+    EXPECT_FALSE(cs.contains(43));
+    EXPECT_EQ(cs.expandApply(u::H, 0x1),
+              (std::vector<isa::Instruction>{
+                  isa::Instruction::pulse1(0x1, u::H),
+                  isa::Instruction::wait(8)}));
+
+    // The limit itself is fine.
+    Microprogram three;
+    three.name = "three-slots";
+    three.body.push_back(MicroStep::pulseMulti({{QubitRole::All, u::X180},
+                                                {QubitRole::All, u::Y90},
+                                                {QubitRole::All, u::X90}}));
+    std::size_t before = cs.size();
+    cs.define(44, three);
+    EXPECT_EQ(cs.size(), before + 1);
+    auto seq = cs.expandApply(44, 0x6);
+    ASSERT_EQ(seq.size(), 1u);
+    EXPECT_EQ(seq[0], isa::Instruction::pulse({{0x6, u::X180},
+                                               {0x6, u::Y90},
+                                               {0x6, u::X90}}));
+}
+
+TEST(ControlStore, UnboundRoleIsFatal)
+{
+    // Apply binds only the All role: a Target slot has no qubits.
+    setLogQuiet(true);
+    QControlStore cs;
+    Microprogram p;
+    p.name = "target-only";
+    p.body.push_back(MicroStep::pulse(QubitRole::Target, u::X180));
+    cs.define(7, std::move(p));
+    EXPECT_THROW(cs.expandApply(7, 0x1), quma::FatalError);
+    // Apply with an empty mask leaves All unbound too.
+    EXPECT_THROW(QControlStore::standard().expandApply(u::X180, 0),
+                 quma::FatalError);
+    setLogQuiet(false);
+}
+
+TEST(ControlStore, MicroInstRoundTripsQumisInstructions)
+{
+    for (const isa::Instruction &inst :
+         {isa::Instruction::wait(9), isa::Instruction::pulse1(0x2, u::X90),
+          isa::Instruction::pulse({{0x1, u::X180}, {0x6, u::Cz}}),
+          isa::Instruction::mpg(0x5, 300), isa::Instruction::md(0x4, 7)})
+        EXPECT_EQ(MicroInst::of(inst).toInstruction(), inst);
+    setLogQuiet(true);
+    isa::Instruction wide;
+    wide.op = isa::Opcode::Pulse;
+    wide.slots.assign(isa::kMaxPulseSlots + 1, {0x1, u::X180});
+    EXPECT_THROW(MicroInst::of(wide), quma::FatalError);
+    setLogQuiet(false);
+}
+
 // --------------------------------------------------------------- seqtable
 
 TEST(SeqTable, PrimitivesPassThrough)

@@ -9,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "isa/assembler.hh"
+#include "isa/nametable.hh"
 #include "quma/execcontroller.hh"
 #include "quma/machine.hh"
 
@@ -126,6 +127,35 @@ INSTANTIATE_TEST_SUITE_P(
         ExecCase{"r0_ignores_writes", "mov r0, 7\nadd r1, r0, r0", 1,
                  0}),
     [](const auto &info) { return info.param.name; });
+
+TEST(QuantumPipeline, BackpressureAtExactlyTheBufferDepth)
+{
+    // The QMB takes an expansion whole or not at all: depth 5 holds
+    // two Apply expansions (Pulse + Wait each) and then one Wait.
+    namespace u = isa::uops;
+    timing::TimingController tcu;
+    TraceRecorder trace;
+    QubitRouting routing{{0}, {0}};
+    QuantumPipeline qp(microcode::QControlStore::standard(), routing, tcu,
+                       trace, /*buffer_depth=*/5);
+    auto apply = isa::Instruction::apply(u::X180, 0x1);
+    EXPECT_TRUE(qp.tryDispatch(apply));
+    EXPECT_TRUE(qp.tryDispatch(apply));
+    EXPECT_EQ(qp.backlog(), 4u);
+    EXPECT_FALSE(qp.tryDispatch(apply)); // 4 + 2 > 5
+    EXPECT_EQ(qp.backlog(), 4u);
+    EXPECT_TRUE(qp.tryDispatch(isa::Instruction::wait(4)));
+    EXPECT_EQ(qp.backlog(), 5u); // exactly the depth
+    EXPECT_FALSE(qp.tryDispatch(isa::Instruction::wait(4)));
+
+    // Draining one entry frees exactly one slot.
+    qp.drainAt(0);
+    EXPECT_EQ(qp.backlog(), 4u);
+    EXPECT_EQ(qp.microInstsIssued(), 1u);
+    EXPECT_TRUE(qp.tryDispatch(isa::Instruction::wait(4)));
+    EXPECT_FALSE(qp.tryDispatch(isa::Instruction::wait(4)));
+    EXPECT_EQ(tcu.pulseQueueSnapshot(0).size(), 1u);
+}
 
 TEST(ExecController, HaltStopsExecution)
 {

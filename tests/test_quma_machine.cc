@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/logging.hh"
 #include "experiments/allxy.hh"
+#include "isa/nametable.hh"
 #include "quma/machine.hh"
 
 namespace quma::core {
@@ -484,6 +487,109 @@ TEST(Machine, TimingSkewInjectionShiftsPulses)
         return m.trace().pulses().at(0).t0Ns;
     };
     EXPECT_EQ(firstPulse(1) - firstPulse(0), 5);
+}
+
+TEST(Machine, MicroInstStreamMatchesTheVectorExpansion)
+{
+    // Pins the QMB's input stream and its decomposition into pulse
+    // events: every standard gate id, CNOT, Measure and a custom
+    // 2-slot microprogram on 3 qubits over 2 AWGs (q0, q2 -> AWG 0,
+    // q1 -> AWG 1), with masks that span both boards.
+    namespace u = isa::uops;
+    MachineConfig cfg;
+    cfg.qubits.assign(3, qsim::paperQubitParams());
+    cfg.numAwgs = 2;
+    cfg.traceEnabled = true;
+    QumaMachine m(cfg);
+
+    constexpr std::uint8_t kCustom = 42;
+    microcode::Microprogram custom;
+    custom.name = "X90+Y180";
+    custom.body.push_back(microcode::MicroStep::pulseMulti(
+        {{microcode::QubitRole::All, u::X90},
+         {microcode::QubitRole::All, u::Y180}}));
+    custom.body.push_back(microcode::MicroStep::wait(8));
+    m.pipeline().controlStore().define(kCustom, std::move(custom));
+
+    isa::Program prog;
+    prog.push(isa::Instruction::wait(100));
+    const QubitMask masks[] = {0x1, 0x2, 0x5, 0x7, 0x6};
+    unsigned k = 0;
+    for (std::uint8_t gate : {u::I, u::X180, u::X90, u::Xm90, u::Y180,
+                              u::Y90, u::Ym90, u::Z180, u::Z90, u::Zm90,
+                              u::H, kCustom})
+        prog.push(isa::Instruction::apply(gate, masks[k++ % 5]));
+    prog.push(isa::Instruction::cnot(/*qt=*/0, /*qc=*/1));
+    prog.push(isa::Instruction::cnot(/*qt=*/2, /*qc=*/1));
+    prog.push(isa::Instruction::pulse(
+        {{0x3, u::X180}, {0x4, u::Y90}, {0x6, u::X90}}));
+    prog.push(isa::Instruction::wait(4));
+    prog.push(isa::Instruction::measure(0x5, 7));
+    prog.push(isa::Instruction::wait(600));
+    prog.push(isa::Instruction::halt());
+    m.loadProgram(prog);
+    RunResult rr = m.run(1'000'000);
+    ASSERT_TRUE(rr.halted);
+    ASSERT_TRUE(rr.violations.clean());
+
+    // The recorded stream is the vector API's expansions, in order.
+    const auto &cs = m.pipeline().controlStore();
+    std::vector<isa::Instruction> expected;
+    for (const isa::Instruction &inst : prog.all()) {
+        std::vector<isa::Instruction> part;
+        switch (inst.op) {
+          case isa::Opcode::Apply:
+            part = cs.expandApply(inst.gate, inst.qmask);
+            break;
+          case isa::Opcode::Cnot:
+            part = cs.expandCnot(inst.rd, inst.rs);
+            break;
+          case isa::Opcode::MeasureQ:
+            part = cs.expandMeasure(inst.qmask, inst.rd);
+            break;
+          case isa::Opcode::Halt:
+            break;
+          default:
+            part = {inst};
+        }
+        expected.insert(expected.end(), part.begin(), part.end());
+    }
+    std::vector<isa::Instruction> recorded;
+    for (const auto &mi : m.trace().microInsts())
+        recorded.push_back(mi.inst);
+    EXPECT_EQ(recorded, expected);
+
+    // Each AWG receives, in stream order, one event per slot and AWG:
+    // the slot's qubits on that AWG, AWGs ascending; a CZ goes whole
+    // to its first qubit's AWG.
+    const unsigned awgOf[] = {0, 1, 0};
+    std::map<unsigned, std::vector<std::pair<std::uint8_t, QubitMask>>>
+        want, got;
+    for (const isa::Instruction &inst : expected) {
+        if (inst.op != isa::Opcode::Pulse)
+            continue;
+        for (const isa::PulseSlot &slot : inst.slots) {
+            if (slot.uop == u::Cz) {
+                unsigned first = 0;
+                while (!(slot.mask & (QubitMask{1} << first)))
+                    ++first;
+                want[awgOf[first]].emplace_back(slot.uop, slot.mask);
+                continue;
+            }
+            for (unsigned awg = 0; awg < 2; ++awg) {
+                QubitMask group = 0;
+                for (unsigned q = 0; q < 3; ++q)
+                    if (awgOf[q] == awg && (slot.mask & (QubitMask{1} << q)))
+                        group |= QubitMask{1} << q;
+                if (group != 0)
+                    want[awg].emplace_back(slot.uop, group);
+            }
+        }
+    }
+    for (const auto &fire : m.trace().uopFires())
+        got[fire.awg].emplace_back(fire.uop, fire.mask);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(m.stats().microInstsIssued, expected.size());
 }
 
 } // namespace

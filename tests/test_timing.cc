@@ -196,6 +196,99 @@ TEST(EventQueue, StaleDropCounterAccumulatesAcrossPops)
     EXPECT_EQ(q.staleDropped(), 1u);
 }
 
+TEST(EventQueue, FillPopAndPushAcrossTheWrapPoint)
+{
+    // Capacity 5: the ring's storage is exactly 5 slots, so pushes
+    // after two pops land at the front of the storage.
+    EventQueue<PulseEvent> q(5);
+    for (TimingLabel l = 1; l <= 5; ++l)
+        EXPECT_TRUE(q.push({l, 0x1, 0}));
+    EXPECT_TRUE(q.full());
+    EXPECT_FALSE(q.push({6, 0x1, 0}));
+    q.pop();
+    q.pop();
+    EXPECT_TRUE(q.push({6, 0x1, 0}));
+    EXPECT_TRUE(q.push({7, 0x1, 0}));
+    EXPECT_TRUE(q.full());
+    EXPECT_FALSE(q.push({8, 0x1, 0}));
+    std::vector<TimingLabel> labels;
+    for (const auto &ev : q.snapshot())
+        labels.push_back(ev.label);
+    EXPECT_EQ(labels, (std::vector<TimingLabel>{3, 4, 5, 6, 7}));
+    // High water is occupancy, not storage; every rejected push
+    // counts, on either side of the wrap.
+    EXPECT_EQ(q.highWaterMark(), 5u);
+    EXPECT_EQ(q.pushFailed(), 2u);
+    for (TimingLabel l = 3; l <= 7; ++l) {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(q.front().label, l);
+        q.pop();
+    }
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, GrowsWhileWrappedAndKeepsFifoOrder)
+{
+    // Storage starts small and doubles: growing while the contents
+    // wrap around the end must keep them in order.
+    EventQueue<PulseEvent> q(100);
+    TimingLabel next = 1;
+    for (int i = 0; i < 12; ++i)
+        q.push({next++, 0x1, 0});
+    for (int i = 0; i < 10; ++i)
+        q.pop();
+    for (int i = 0; i < 40; ++i)
+        q.push({next++, 0x1, 0});
+    auto snap = q.snapshot();
+    ASSERT_EQ(snap.size(), 42u);
+    for (std::size_t i = 0; i < snap.size(); ++i)
+        EXPECT_EQ(snap[i].label, 11 + i);
+    EXPECT_EQ(q.highWaterMark(), 42u);
+    // clear() keeps the storage and restarts at the front.
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    q.push({1, 0x1, 0});
+    EXPECT_EQ(q.front().label, 1u);
+    EXPECT_EQ(q.capacity(), 100u);
+}
+
+TEST(EventQueue, PopMatchingDropsStaleAcrossTheWrapPoint)
+{
+    EventQueue<PulseEvent> q(4);
+    for (TimingLabel l = 1; l <= 4; ++l)
+        q.push({l, 0x1, 0});
+    std::vector<PulseEvent> fired;
+    std::size_t stale = 0;
+    q.popMatching(3, fired, stale);
+    EXPECT_EQ(stale, 2u);
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0].label, 3u);
+    // 4 sits in the last slot; 5..7 wrap to the front of the storage.
+    for (TimingLabel l = 5; l <= 7; ++l)
+        EXPECT_TRUE(q.push({l, 0x1, 0}));
+    EXPECT_TRUE(q.full());
+    q.popMatching(6, fired, stale);
+    EXPECT_EQ(stale, 4u);
+    EXPECT_EQ(q.staleDropped(), 4u);
+    ASSERT_EQ(fired.size(), 2u);
+    EXPECT_EQ(fired[1].label, 6u);
+    ASSERT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.front().label, 7u);
+}
+
+TEST(EventQueue, HugeCapacityIsNotReserved)
+{
+    // Capacities arrive unchecked from the wire; storage follows the
+    // contents, not the configured bound.
+    constexpr std::size_t kHuge = std::size_t{1} << 40;
+    EventQueue<PulseEvent> q(kHuge);
+    for (TimingLabel l = 1; l <= 3; ++l)
+        EXPECT_TRUE(q.push({l, 0x1, 0}));
+    EXPECT_EQ(q.capacity(), kHuge);
+    EXPECT_FALSE(q.full());
+    EXPECT_EQ(q.size(), 3u);
+}
+
 TEST(TimingControllerStats, QueueStatsReportStaleDrops)
 {
     // A queued pulse for label 1, but no time point ever broadcasts
