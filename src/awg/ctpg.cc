@@ -1,8 +1,15 @@
 #include "awg/ctpg.hh"
 
+#include <atomic>
+
 #include "common/logging.hh"
 
 namespace quma::awg {
+
+namespace {
+/** Source of process-unique DrivePulse::shapeIds (0 = unknown). */
+std::atomic<std::uint64_t> nextShapeId{1};
+} // namespace
 
 Ctpg::Ctpg(CtpgConfig config)
     : cfg(config),
@@ -26,7 +33,7 @@ Ctpg::nextEventCycle() const
     return pending.top().emitCycle;
 }
 
-const Ctpg::Rendered &
+signal::DrivePulse &
 Ctpg::rendered(Codeword cw)
 {
     if (renderCacheVersion != memory.version()) {
@@ -36,10 +43,13 @@ Ctpg::rendered(Codeword cw)
     auto it = renderCache.find(cw);
     if (it == renderCache.end()) {
         const StoredPulse &stored = memory.lookup(cw);
-        it = renderCache
-                 .emplace(cw, Rendered{dac.render(stored.i),
-                                       dac.render(stored.q)})
-                 .first;
+        signal::DrivePulse pulse;
+        pulse.i = dac.render(stored.i);
+        pulse.q = dac.render(stored.q);
+        pulse.ssbHz = cfg.ssbHz;
+        pulse.carrierHz = cfg.carrierHz;
+        pulse.shapeId = nextShapeId.fetch_add(1, std::memory_order_relaxed);
+        it = renderCache.emplace(cw, std::move(pulse)).first;
     }
     return it->second;
 }
@@ -50,19 +60,11 @@ Ctpg::advanceTo(Cycle now)
     while (!pending.empty() && pending.top().emitCycle <= now) {
         Pending p = pending.top();
         pending.pop();
-        const Rendered &r = rendered(p.cw);
-
-        // The emitted pulse is assembled in a reused member so the
-        // sample copies land in already-sized vectors: steady-state
-        // triggers perform no heap allocation.
-        emitPulse.t0Ns = cyclesToNs(p.emitCycle);
-        emitPulse.i = r.i;
-        emitPulse.q = r.q;
-        emitPulse.ssbHz = cfg.ssbHz;
-        emitPulse.carrierHz = cfg.carrierHz;
+        signal::DrivePulse &pulse = rendered(p.cw);
+        pulse.t0Ns = cyclesToNs(p.emitCycle);
         ++emitted;
         if (pulseSink)
-            pulseSink(emitPulse, p.cw, p.mask);
+            pulseSink(pulse, p.cw, p.mask);
     }
 }
 

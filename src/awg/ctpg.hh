@@ -6,6 +6,14 @@
  * that lookup-table index through its DACs after a FIXED delay (80 ns
  * in the implemented control box). The fixed delay is what lets the
  * upper digital layers compose pulses purely by trigger timing.
+ *
+ * Each codeword is rendered through the DAC once per wave-memory
+ * version into a complete signal::DrivePulse that carries a
+ * process-unique shapeId. An emission only stamps the start time on
+ * that cached pulse and hands the sink a reference to it: no sample
+ * is copied per trigger, and the chip model can recognise a shape it
+ * has seen before by its id. A re-upload drops the cache, so new
+ * samples always get a new id.
  */
 
 #ifndef QUMA_AWG_CTPG_HH
@@ -87,15 +95,8 @@ class Ctpg
         }
     };
 
-    /** DAC-rendered I/Q of one stored pulse (immutable per upload). */
-    struct Rendered
-    {
-        signal::Waveform i;
-        signal::Waveform q;
-    };
-
     /** Rendered pulse for a codeword, re-rendering only after uploads. */
-    const Rendered &rendered(Codeword cw);
+    signal::DrivePulse &rendered(Codeword cw);
 
     CtpgConfig cfg;
     WaveMemory memory;
@@ -105,16 +106,14 @@ class Ctpg
      * Render cache: stored samples and the DAC transfer function are
      * fixed between uploads, so each codeword is quantised once per
      * wave-memory version instead of on every trigger (the AllXY hot
-     * loop fires thousands of triggers against a 7-entry LUT).
+     * loop fires thousands of triggers against a 7-entry LUT). The
+     * entries are also the emission records: advanceTo stamps t0Ns
+     * and passes the entry by const reference, so sinks must not
+     * retain it past the callback (the machine routes it straight
+     * into the chip model).
      */
-    std::map<Codeword, Rendered> renderCache;
+    std::map<Codeword, signal::DrivePulse> renderCache;
     std::uint64_t renderCacheVersion = 0;
-    /**
-     * Reused emission record: sinks receive it by const reference and
-     * must not retain it past the callback (they don't -- the machine
-     * routes it straight into the chip model).
-     */
-    signal::DrivePulse emitPulse;
     std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
         pending;
     std::uint64_t orderCounter = 0;

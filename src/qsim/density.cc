@@ -189,21 +189,29 @@ DensityMatrix::applyCzPhase(unsigned q_a, unsigned q_b)
     }
 }
 
-void
-DensityMatrix::applyIdle(unsigned q, double gamma, double lambda,
-                         double phase)
+IdleFactors
+DensityMatrix::idleFactors(double gamma, double lambda, double phase)
 {
-    quma_assert(q < nq, "qubit index out of range");
     quma_assert(gamma >= 0 && gamma <= 1 && lambda >= 0 && lambda <= 1,
                 "idle parameters out of range");
-    std::size_t stride = std::size_t{1} << q;
-    double keep = 1.0 - gamma;
-    double coh = std::sqrt(keep) * std::sqrt(1.0 - lambda);
+    IdleFactors f;
+    f.gamma = gamma;
+    f.keep = 1.0 - gamma;
+    double coh = std::sqrt(f.keep) * std::sqrt(1.0 - lambda);
     // Coherence factor for the (0,1) element; the (1,0) element takes
     // the conjugate. phase follows the rz(theta) convention: rho_01
     // picks up exp(-i*theta).
-    Complex up = coh * Complex{std::cos(phase), -std::sin(phase)};
-    Complex down = std::conj(up);
+    f.up = coh * Complex{std::cos(phase), -std::sin(phase)};
+    return f;
+}
+
+void
+DensityMatrix::applyIdle(unsigned q, const IdleFactors &f)
+{
+    quma_assert(q < nq, "qubit index out of range");
+    std::size_t stride = std::size_t{1} << q;
+    double gamma = f.gamma, keep = f.keep;
+    Complex up = f.up, down = std::conj(up);
     forEachBlock1(rho.data(), n, stride,
                   [gamma, keep, up, down](Complex *row0, Complex *row1,
                                           std::size_t c0, std::size_t c1) {

@@ -23,6 +23,21 @@
 
 namespace quma::qsim {
 
+/**
+ * The per-element factors of one idle step (see
+ * DensityMatrix::applyIdle): they depend only on the step's
+ * parameters, so a caller that repeats a step can keep them.
+ */
+struct IdleFactors
+{
+    /** rho_00 += gamma * rho_11. */
+    double gamma = 0.0;
+    /** rho_11 *= keep (= 1 - gamma). */
+    double keep = 1.0;
+    /** rho_01 *= up; rho_10 *= conj(up). */
+    Complex up{1.0, 0.0};
+};
+
 class DensityMatrix
 {
   public:
@@ -75,10 +90,21 @@ class DensityMatrix
      *   rho_10 *= sqrt(1-gamma) * sqrt(1-lambda) * exp(+i*phase)
      *
      * Equivalent (to rounding) to applyKraus1(idleChannel(...)) then
-     * applyRz(phase); see tests/test_qsim_kernels.cc.
+     * applyRz(phase); see tests/test_qsim_kernels.cc. Computes
+     * idleFactors() and sweeps with them.
      */
     void applyIdle(unsigned q, double gamma, double lambda,
-                   double phase = 0.0);
+                   double phase = 0.0)
+    {
+        applyIdle(q, idleFactors(gamma, lambda, phase));
+    }
+
+    /** The idle sweep with precomputed factors. */
+    void applyIdle(unsigned q, const IdleFactors &f);
+
+    /** Factors of applyIdle(q, gamma, lambda, phase). */
+    static IdleFactors idleFactors(double gamma, double lambda,
+                                   double phase);
 
     /** Probability that measuring qubit q yields 1. */
     double probabilityOne(unsigned q) const;

@@ -1,6 +1,7 @@
 #include "qsim/transmon.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -21,7 +22,8 @@ TransmonChip::TransmonChip(std::vector<TransmonParams> qubit_params,
       roundDetuningHz(params.size(), 0.0),
       busyUntilNs(params.size(), 0),
       rho(params.empty() ? 1 : static_cast<unsigned>(params.size())),
-      random(seed), readoutTones(params.size())
+      random(seed), readoutTones(params.size()),
+      idleMemo(params.size())
 {
     if (params.empty())
         fatal("TransmonChip needs at least one qubit");
@@ -46,6 +48,7 @@ TransmonChip::reseed(std::uint64_t seed)
     random.reseed(seed);
     rho.reset();
     nowNs = 0;
+    driveOrdinal = 0;
     for (std::size_t q = 0; q < params.size(); ++q) {
         busyUntilNs[q] = 0;
         roundDetuningHz[q] = 0.0;
@@ -57,6 +60,7 @@ TransmonChip::newRound()
 {
     rho.reset();
     nowNs = 0;
+    driveOrdinal = 0;
     for (std::size_t q = 0; q < params.size(); ++q) {
         busyUntilNs[q] = 0;
         double sigma = params[q].quasiStaticDetuningSigmaHz;
@@ -78,12 +82,20 @@ TransmonChip::idleEvolve(TimeNs from_ns, TimeNs to_ns)
         double dt = static_cast<double>(to_ns - start);
         // Closed-form T1/T2 update fused with the quasi-static
         // detuning frame rotation: one allocation-free sweep instead
-        // of a generic Kraus application plus an rz conjugation.
-        IdleChannelParams icp =
-            idleChannelParams(dt, params[q].t1Ns, params[q].t2Ns);
+        // of a generic Kraus application plus an rz conjugation. Its
+        // factors depend only on (dt, detuning), and idle steps of
+        // one length recur, so the last ones are kept per qubit.
         double det = roundDetuningHz[q];
-        rho.applyIdle(q, icp.gamma, icp.lambda,
-                      kTwoPi * det * dt * 1e-9);
+        IdleMemo &memo = idleMemo[q];
+        auto detBits = std::bit_cast<std::uint64_t>(det);
+        if (memo.dtNs != dt || memo.detuningBits != detBits) {
+            IdleChannelParams icp =
+                idleChannelParams(dt, params[q].t1Ns, params[q].t2Ns);
+            memo = {dt, detBits,
+                    DensityMatrix::idleFactors(icp.gamma, icp.lambda,
+                                               kTwoPi * det * dt * 1e-9)};
+        }
+        rho.applyIdle(q, memo.factors);
     }
 }
 
@@ -115,11 +127,33 @@ TransmonChip::applyDrive(unsigned q, const signal::DrivePulse &pulse)
     TimeNs mid = pulse.t0Ns + dur / 2;
     advanceAtLeast(mid);
 
-    // Demodulate the complex baseband against the qubit's rotating
-    // frame. The frame offset from the carrier includes this round's
+    // The frame offset from the carrier includes this round's
     // quasi-static detuning.
     const TransmonParams &p = params[q];
     double f_rot = (p.freqHz + roundDetuningHz[q]) - pulse.carrierHz;
+
+    // The operator is a function of the samples (shapeId), t0, f_rot
+    // and the qubit alone: an equal key at this ordinal in an earlier
+    // round means the computation below would repeat bit for bit.
+    std::size_t ordinal = driveOrdinal++;
+    bool memoable = pulse.shapeId != 0 && ordinal < kDriveMemoCap;
+    auto fRotBits = std::bit_cast<std::uint64_t>(f_rot);
+    std::uint64_t tag = pulse.shapeId << 8 | std::uint64_t{q} << 1;
+    if (memoable && ordinal < driveMemo.size()) {
+        const DriveMemo &m = driveMemo[ordinal];
+        if (m.t0Ns == pulse.t0Ns && m.fRotBits == fRotBits &&
+            (m.tag & ~std::uint64_t{1}) == tag) {
+            ++memoHits;
+            if (!(m.tag & 1))
+                rho.apply1(q, Mat2{Complex{m.c, 0}, m.u01, m.u10,
+                                   Complex{m.c, 0}});
+            advanceAtLeast(pulse.t0Ns + dur);
+            return;
+        }
+    }
+
+    // Demodulate the complex baseband against the qubit's rotating
+    // frame.
     double dt_ns = 1e9 / pulse.i.rateHz();
     // Incremental phasor over the uniform sample grid: one complex
     // multiply per sample instead of a sincos. The frame rotates at
@@ -134,9 +168,19 @@ TransmonChip::applyDrive(unsigned q, const signal::DrivePulse &pulse)
     acc *= dt_ns;
 
     double theta = p.rabiRadPerAmpNs * std::abs(acc);
-    if (theta > 1e-12) {
+    bool identity = !(theta > 1e-12);
+    Mat2 u{};
+    if (!identity) {
         double phi = std::arg(acc);
-        rho.apply1(q, gates::raxis(phi, theta));
+        u = gates::raxis(phi, theta);
+        rho.apply1(q, u);
+    }
+    if (memoable) {
+        if (ordinal >= driveMemo.size())
+            driveMemo.resize(ordinal + 1);
+        driveMemo[ordinal] = {pulse.t0Ns, fRotBits,
+                              tag | (identity ? 1u : 0u), u[0].real(),
+                              u[1], u[2]};
     }
     advanceAtLeast(pulse.t0Ns + dur);
 }

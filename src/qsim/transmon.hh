@@ -102,8 +102,24 @@ class TransmonChip
      * Apply a microwave drive pulse to qubit q. The pulse's I/Q
      * samples are interpreted in the qubit's rotating frame relative
      * to the pulse's carrier; time is the global simulation time.
+     *
+     * Repeated rounds reuse their drive operators: the k-th drive of
+     * a round is memoised under its exact key (start time, shapeId,
+     * rotating-frame offset bits, qubit), and the k-th drive of a
+     * later round with an equal key applies the stored operator
+     * instead of demodulating again. A pulse with shapeId 0 is always
+     * computed. See src/qsim/README.md, "Repeated-round memo".
      */
     void applyDrive(unsigned q, const signal::DrivePulse &pulse);
+
+    /** Drives served from the memo so far (diagnostic). */
+    std::size_t driveMemoHits() const { return memoHits; }
+
+    /**
+     * Most drives memoised per round: 8 Ki entries of 64 B (512 KiB
+     * per chip at most), enough for a 1 024-Clifford RB round.
+     */
+    static constexpr std::size_t kDriveMemoCap = 8192;
 
     /**
      * Apply a two-qubit CZ between qubits a and b (idealised flux
@@ -141,6 +157,33 @@ class TransmonChip
     Rng &rng() { return random; }
 
   private:
+    /**
+     * One memoised drive operator raxis(phi, theta) =
+     * [[c, u01], [u10, c]] and its key. Plain data, 64 bytes.
+     */
+    struct DriveMemo
+    {
+        TimeNs t0Ns = 0;
+        /** Bits of the rotating-frame offset f_rot. */
+        std::uint64_t fRotBits = 0;
+        /** shapeId << 8 | qubit << 1 | 1 when the drive is the
+         *  identity (theta <= 1e-12); 0 = empty slot. */
+        std::uint64_t tag = 0;
+        double c = 0.0;
+        Complex u01{};
+        Complex u10{};
+    };
+    static_assert(sizeof(DriveMemo) == 64);
+
+    /** Last idle step's factors for one qubit and their key. */
+    struct IdleMemo
+    {
+        /** Step length; 0 = empty (idle steps are >= 1 ns). */
+        double dtNs = 0.0;
+        std::uint64_t detuningBits = 0;
+        IdleFactors factors;
+    };
+
     void idleEvolve(TimeNs from_ns, TimeNs to_ns);
 
     /**
@@ -172,6 +215,14 @@ class TransmonChip
     /** Per-qubit noiseless readout levels for measureIntegrated(),
      *  grown to the weight vector's length on first use. */
     std::vector<ReadoutTone> readoutTones;
+    /** Drive operators by ordinal within the round; grows on first
+     *  use up to kDriveMemoCap, kept across rounds. */
+    std::vector<DriveMemo> driveMemo;
+    /** Ordinal of the next drive in this round. */
+    std::size_t driveOrdinal = 0;
+    std::size_t memoHits = 0;
+    /** Per-qubit idle-step memo. */
+    std::vector<IdleMemo> idleMemo;
 };
 
 /**

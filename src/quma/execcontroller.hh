@@ -18,6 +18,7 @@
 #ifndef QUMA_QUMA_EXECCONTROLLER_HH
 #define QUMA_QUMA_EXECCONTROLLER_HH
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -57,8 +58,12 @@ class ExecutionController
   public:
     ExecutionController(ExecConfig config, QuantumPipeline &pipeline);
 
-    void loadProgram(isa::Program program);
-    const isa::Program &program() const { return prog; }
+    /**
+     * Load a program, shared rather than copied: the runtime hands
+     * every round of a shard the same assembled program.
+     */
+    void loadProgram(std::shared_ptr<const isa::Program> program);
+    const isa::Program &program() const { return *prog; }
 
     RegisterFile &registers() { return regs; }
     const RegisterFile &registers() const { return regs; }
@@ -98,7 +103,8 @@ class ExecutionController
 
     ExecConfig cfg;
     QuantumPipeline &qp;
-    isa::Program prog;
+    /** Never null: an empty program until the first load. */
+    std::shared_ptr<const isa::Program> prog;
     RegisterFile regs;
     std::vector<std::int64_t> dataMem;
     Rng rng;

@@ -175,6 +175,12 @@ QumaMachine::uploadStandardCalibration(const LutProvider &provider)
 void
 QumaMachine::loadProgram(isa::Program program)
 {
+    loadProgram(std::make_shared<const isa::Program>(std::move(program)));
+}
+
+void
+QumaMachine::loadProgram(std::shared_ptr<const isa::Program> program)
+{
     exec->loadProgram(std::move(program));
     // Re-arm the deterministic domain and re-initialise the chip so
     // a machine can run successive programs.

@@ -147,7 +147,13 @@ class QumaMachine
     /** Upload the Table 1 LUTs and calibrate every MDU. */
     void uploadStandardCalibration(const LutProvider &provider = {});
 
-    /** Load an assembled program into the instruction cache. */
+    /**
+     * Load an assembled program into the instruction cache. The
+     * machine shares the program instead of copying it, so a caller
+     * running many rounds of one program loads the same pointer.
+     */
+    void loadProgram(std::shared_ptr<const isa::Program> program);
+    /** loadProgram for an owned program (moved into a shared_ptr). */
     void loadProgram(isa::Program program);
     /** Assemble and load. */
     void loadAssembly(const std::string &source);

@@ -112,32 +112,35 @@ QuantumPipeline::pushOne(const microcode::MicroInst &mi)
         return true;
       }
       case isa::Opcode::Pulse: {
-        // All-or-nothing: verify capacity across the addressed
-        // queues first. One event is pushed per (slot, AWG): slots in
-        // order, each slot's qubits grouped by AWG in ascending AWG
-        // order.
+        // All-or-nothing: every addressed queue must have room for
+        // all the events it gets -- one per slot that reaches its
+        // AWG, so up to numSlots. One event is pushed per (slot,
+        // AWG): slots in order, each slot's qubits grouped by AWG in
+        // ascending AWG order.
         std::uint64_t slotAwgs[isa::kMaxPulseSlots] = {};
+        std::uint64_t allAwgs = 0;
         for (unsigned k = 0; k < mi.numSlots; ++k) {
             slotAwgs[k] = awgsOf(mi.slots[k]);
-            for (std::uint64_t a = slotAwgs[k]; a != 0; a &= a - 1)
-                if (tcu.pulseQueueFull(
-                        static_cast<unsigned>(std::countr_zero(a))))
-                    return false;
+            allAwgs |= slotAwgs[k];
+        }
+        for (std::uint64_t a = allAwgs; a != 0; a &= a - 1) {
+            auto awg = static_cast<unsigned>(std::countr_zero(a));
+            std::size_t events = 0;
+            for (unsigned k = 0; k < mi.numSlots; ++k)
+                events += (slotAwgs[k] >> awg) & 1;
+            if (tcu.pulseQueueRoom(awg) < events)
+                return false;
         }
         for (unsigned k = 0; k < mi.numSlots; ++k) {
             const isa::PulseSlot &slot = mi.slots[k];
-            if (slot.uop == isa::uops::Cz) {
-                tcu.pushPulse(static_cast<unsigned>(
-                                  std::countr_zero(slotAwgs[k])),
-                              timing::PulseEvent{label, slot.mask,
-                                                 slot.uop});
-                continue;
-            }
             for (std::uint64_t a = slotAwgs[k]; a != 0; a &= a - 1) {
                 auto awg = static_cast<unsigned>(std::countr_zero(a));
-                tcu.pushPulse(awg, timing::PulseEvent{
-                                       label, slot.mask & awgQubits[awg],
-                                       slot.uop});
+                // A CZ is one flux pulse: it keeps both qubits.
+                QubitMask mask = slot.uop == isa::uops::Cz
+                                     ? slot.mask
+                                     : slot.mask & awgQubits[awg];
+                tcu.pushPulse(awg,
+                              timing::PulseEvent{label, mask, slot.uop});
             }
         }
         return true;

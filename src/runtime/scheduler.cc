@@ -874,16 +874,12 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
     p.roundSums.reserve(range.size() * bins);
     p.roundBitSums.reserve(range.size() * bins);
     try {
-        // cached keeps the assembled program alive for the loop; a
-        // pre-built program lives in spec, which outlives the run.
-        std::shared_ptr<const isa::Program> cached;
-        const isa::Program *program;
-        if (spec.program) {
-            program = &*spec.program;
-        } else {
-            cached = cache.assemble(spec.assembly);
-            program = cached.get();
-        }
+        // Every round loads this one shared program: the cached
+        // assembly, or one copy of a pre-built program per shard.
+        std::shared_ptr<const isa::Program> program =
+            spec.program
+                ? std::make_shared<const isa::Program>(*spec.program)
+                : cache.assemble(spec.assembly);
 
         bool first = true;
         for (std::size_t r = range.begin;; ++r) {
@@ -914,7 +910,7 @@ JobScheduler::runShard(const JobSpec &spec, core::QumaMachine &machine,
                 Rng::derive(spec.seed,
                             opaque ? kExecStream : execStreamOf(r)));
             machine.configureDataCollection(bins);
-            machine.loadProgram(*program);
+            machine.loadProgram(program);
             core::RunResult rr = machine.run(spec.maxCycles);
             p.run.accumulate(rr, first);
             first = false;

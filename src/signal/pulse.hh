@@ -32,6 +32,13 @@ struct DrivePulse
     double ssbHz = 0.0;
     /** Carrier frequency of the upconverting source (Hz). */
     double carrierHz = 0.0;
+    /**
+     * Identity of the I/Q samples (and their rate): two pulses with
+     * the same nonzero shapeId carry the same samples bit for bit,
+     * so a consumer may reuse what it computed from them. 0 means
+     * unknown and is never reused.
+     */
+    std::uint64_t shapeId = 0;
 
     double durationNs() const { return i.durationNs(); }
 };

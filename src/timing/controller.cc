@@ -225,11 +225,11 @@ TimingController::mdQueueSnapshot(unsigned queue) const
     return mdQueues[queue].snapshot();
 }
 
-bool
-TimingController::pulseQueueFull(unsigned queue) const
+std::size_t
+TimingController::pulseQueueRoom(unsigned queue) const
 {
     quma_assert(queue < pulseQueues.size(), "pulse queue out of range");
-    return pulseQueues[queue].full();
+    return pulseQueues[queue].capacity() - pulseQueues[queue].size();
 }
 
 bool

@@ -168,7 +168,8 @@ class TimingController
     std::vector<MpgEvent> mpgQueueSnapshot() const;
     std::vector<MdEvent> mdQueueSnapshot(unsigned queue) const;
     bool timingQueueFull() const { return timingQueue.full(); }
-    bool pulseQueueFull(unsigned queue) const;
+    /** Free entries left in pulse queue `queue`. */
+    std::size_t pulseQueueRoom(unsigned queue) const;
     bool mpgQueueFull() const { return mpgQueue.full(); }
     bool mdQueueFull(unsigned queue) const;
     bool allQueuesEmpty() const;

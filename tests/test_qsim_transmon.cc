@@ -2,16 +2,22 @@
  * @file
  * Unit tests for the pulse-level transmon model: drive calibration,
  * the timing-sets-the-axis property (paper §4.2.3), detuning,
- * decoherence and readout.
+ * decoherence and readout; and the repeated-round drive memo, checked
+ * bit for bit against unmemoised chips.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <memory>
 #include <numbers>
 
+#include "awg/calibration.hh"
 #include "common/logging.hh"
 #include "qsim/transmon.hh"
+#include "quma/machine.hh"
 #include "signal/envelope.hh"
 #include "signal/modulation.hh"
 
@@ -265,6 +271,236 @@ TEST(Readout, TraceLengthMatchesAdcRate)
     Rng rng(1);
     auto t = simulateReadout(rp, false, 1500, 1e9, rng);
     EXPECT_EQ(t.trace.size(), 300u); // 1500 ns at 200 MSa/s
+}
+
+// ------------------------------------------------- repeated-round memo
+
+/** One drive of a round: which qubit, which shape, when. */
+struct Drive
+{
+    unsigned qubit;
+    unsigned shape;
+    TimeNs t0;
+};
+
+using Round = std::vector<Drive>;
+
+/**
+ * Two qubits with decoherence, so the idle memo is exercised too. They
+ * share a frequency (so a pulse gets one f_rot on both) but not a
+ * Rabi gain: only the qubit in the key tells their drives apart.
+ */
+std::vector<TransmonParams>
+memoQubits(double sigma_hz = 0.0)
+{
+    TransmonParams a = paperQubitParams();
+    TransmonParams b = paperQubitParams();
+    b.rabiRadPerAmpNs = 0.8 * a.rabiRadPerAmpNs;
+    b.t1Ns = 20000.0;
+    b.t2Ns = 15000.0;
+    a.quasiStaticDetuningSigmaHz = b.quasiStaticDetuningSigmaHz = sigma_hz;
+    return {a, b};
+}
+
+/**
+ * X180, X90, Y90 and a zero-amplitude pulse (the identity path) with
+ * the nonzero shapeIds a CTPG would stamp on them.
+ */
+std::vector<signal::DrivePulse>
+memoShapes(const TransmonParams &p)
+{
+    std::vector<signal::DrivePulse> shapes = {
+        makePulse(p, kPi, 0.0, 0), makePulse(p, kPi / 2, 0.0, 0),
+        makePulse(p, kPi / 2, kPi / 2, 0), makePulse(p, 0.0, 0.0, 0)};
+    for (std::size_t k = 0; k < shapes.size(); ++k)
+        shapes[k].shapeId = 1000 + k;
+    return shapes;
+}
+
+/** A gate train on both qubits, 20 ns apart, every shape used. */
+Round
+baseRound(unsigned drives = 24)
+{
+    Round r;
+    for (unsigned k = 0; k < drives; ++k)
+        r.push_back({k % 3 == 2 ? 1u : 0u, k % 4,
+                     static_cast<TimeNs>(100 + 20 * k)});
+    return r;
+}
+
+void
+expectSameBits(const DensityMatrix &got, const DensityMatrix &want,
+               std::size_t round)
+{
+    for (std::size_t r = 0; r < got.dim(); ++r) {
+        for (std::size_t c = 0; c < got.dim(); ++c) {
+            Complex g = got.element(r, c), w = want.element(r, c);
+            if (std::bit_cast<std::uint64_t>(g.real()) !=
+                    std::bit_cast<std::uint64_t>(w.real()) ||
+                std::bit_cast<std::uint64_t>(g.imag()) !=
+                    std::bit_cast<std::uint64_t>(w.imag())) {
+                ADD_FAILURE() << "round " << round << ": rho(" << r
+                              << ", " << c << ") = " << g
+                              << ", reference " << w;
+                return;
+            }
+        }
+    }
+}
+
+/**
+ * Play `rounds` on a chip fed the shapes with their shapeIds and on a
+ * reference chip fed the same pulses with shapeId 0 (never
+ * memoised). Every round starts like a runtime round (reseed, then
+ * newRound) and ends with a readout of qubit 0; rho must agree bit
+ * for bit at the end of every round. Returns the memo's hits.
+ */
+std::size_t
+expectMemoMatchesReference(const std::vector<TransmonParams> &qubits,
+                           const std::vector<Round> &rounds)
+{
+    TransmonChip memo(qubits), ref(qubits);
+    std::vector<signal::DrivePulse> shapes = memoShapes(qubits[0]);
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+        for (TransmonChip *chip : {&memo, &ref}) {
+            chip->reseed(77 + r);
+            chip->newRound();
+        }
+        TimeNs end = 0;
+        for (const Drive &d : rounds[r]) {
+            signal::DrivePulse pulse = shapes[d.shape];
+            pulse.t0Ns = d.t0;
+            memo.applyDrive(d.qubit, pulse);
+            pulse.shapeId = 0;
+            ref.applyDrive(d.qubit, pulse);
+            end = std::max(end, d.t0 + 20);
+        }
+        auto a = memo.measure(0, end + 10, 1500);
+        auto b = ref.measure(0, end + 10, 1500);
+        EXPECT_EQ(a.initialOne, b.initialOne);
+        expectSameBits(memo.state(), ref.state(), r);
+    }
+    EXPECT_EQ(ref.driveMemoHits(), 0u);
+    return memo.driveMemoHits();
+}
+
+TEST(DriveMemo, RepeatedRoundsHitAndStayBitIdentical)
+{
+    Round r = baseRound();
+    EXPECT_EQ(expectMemoMatchesReference(memoQubits(), {r, r, r, r}),
+              3 * r.size());
+}
+
+TEST(DriveMemo, RedrawnDetuningMissesEveryRound)
+{
+    // sigma > 0: every round draws a new frame offset, so no key
+    // repeats (readouts redraw it mid-round as well).
+    Round r = baseRound();
+    EXPECT_EQ(expectMemoMatchesReference(memoQubits(400.0e3),
+                                         {r, r, r, r}),
+              0u);
+}
+
+TEST(DriveMemo, ShiftedStartTimesMiss)
+{
+    // The program's t0 values move by 5 ns from round 3 on: round 3
+    // misses throughout and round 4 hits round 3's entries.
+    Round base = baseRound(), shifted = base;
+    for (Drive &d : shifted)
+        d.t0 += 5;
+    EXPECT_EQ(expectMemoMatchesReference(memoQubits(),
+                                         {base, base, shifted, shifted}),
+              2 * base.size());
+}
+
+TEST(DriveMemo, SwappedCodewordsAtOneOrdinalMiss)
+{
+    // Round 3 plays two different shapes in swapped order: those two
+    // ordinals miss in round 3 and again in round 4, which swaps back.
+    Round base = baseRound(), swapped = base;
+    ASSERT_NE(swapped[4].shape, swapped[5].shape);
+    std::swap(swapped[4].shape, swapped[5].shape);
+    std::size_t n = base.size();
+    EXPECT_EQ(expectMemoMatchesReference(memoQubits(),
+                                         {base, base, swapped, base}),
+              n + 2 * (n - 2));
+}
+
+TEST(DriveMemo, PulseAddressingTwoQubits)
+{
+    // One pulse on both qubits is two drives at one t0, told apart by
+    // the qubit in the key. Round 3 addresses them in the other order.
+    Round both, reversed;
+    for (unsigned k = 0; k < 8; ++k) {
+        auto t0 = static_cast<TimeNs>(100 + 20 * k);
+        both.push_back({0, k % 3, t0});
+        both.push_back({1, k % 3, t0});
+        reversed.push_back({1, k % 3, t0});
+        reversed.push_back({0, k % 3, t0});
+    }
+    EXPECT_EQ(expectMemoMatchesReference(memoQubits(),
+                                         {both, both, reversed}),
+              both.size());
+}
+
+TEST(DriveMemo, DrivesPastTheCapAreComputed)
+{
+    Round r = baseRound(
+        static_cast<unsigned>(TransmonChip::kDriveMemoCap + 40));
+    EXPECT_EQ(expectMemoMatchesReference(memoQubits(), {r, r}),
+              TransmonChip::kDriveMemoCap);
+}
+
+TEST(DriveMemo, ReuploadedLutGetsNewShapes)
+{
+    // Re-uploading a different LUT must not replay the old shapes'
+    // operators: the second run equals a fresh machine built with the
+    // second LUT, bit for bit.
+    auto lut2 = [](const awg::CalibrationParams &cp) {
+        awg::CalibrationParams c = cp;
+        c.amplitudeError = 0.05;
+        return std::make_shared<const std::map<Codeword, awg::StoredPulse>>(
+            awg::buildStandardLutEntries(c));
+    };
+    const char *src = R"(
+        Wait 100
+        Pulse {q0}, X90
+        Wait 4
+        Pulse {q0}, Y180
+        Wait 4
+        Pulse {q0}, X90
+        Wait 4
+        MPG {q0}, 300
+        MD {q0}, r7
+        Wait 600
+        halt
+    )";
+    core::MachineConfig cfg;
+    core::QumaMachine reused(cfg);
+    reused.uploadStandardCalibration();
+    reused.loadAssembly(src);
+    reused.run();
+    std::size_t firstHits = reused.chip().driveMemoHits();
+
+    reused.uploadStandardCalibration(lut2);
+    reused.reset();
+    reused.loadAssembly(src);
+    reused.run();
+    EXPECT_EQ(reused.chip().driveMemoHits(), firstHits);
+
+    core::QumaMachine fresh(cfg);
+    fresh.uploadStandardCalibration(lut2);
+    fresh.loadAssembly(src);
+    fresh.run();
+    expectSameBits(reused.chip().state(), fresh.chip().state(), 1);
+    EXPECT_EQ(reused.registers().read(7), fresh.registers().read(7));
+
+    // A third run with the same LUT does replay the operators.
+    reused.reset();
+    reused.loadAssembly(src);
+    reused.run();
+    EXPECT_EQ(reused.chip().driveMemoHits(), firstHits + 3);
+    expectSameBits(reused.chip().state(), fresh.chip().state(), 2);
 }
 
 } // namespace

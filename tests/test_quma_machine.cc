@@ -413,6 +413,40 @@ TEST(Machine, StatsExposeQueueSaturation)
     EXPECT_GT(stats.microInstsIssued, 0u);
 }
 
+TEST(Machine, MultiSlotPulseWaitsForRoomForAllItsEvents)
+{
+    // Both slots of the second Pulse land on AWG 0's two-entry queue
+    // while the first Pulse still holds one entry (the leading Wait
+    // keeps it queued): the microinstruction must wait until both
+    // events fit instead of queueing one and dropping the other.
+    MachineConfig cfg;
+    cfg.qubits.assign(2, qsim::paperQubitParams());
+    cfg.driveAwg = {0, 0};
+    cfg.timing.pulseQueueCapacity = 2;
+    cfg.traceEnabled = true;
+    QumaMachine m(cfg);
+    m.loadAssembly(R"(
+        Wait 100
+        Pulse {q0}, X180
+        Wait 4
+        Pulse ({q0}, X90), ({q1}, Y90)
+        Wait 600
+        halt
+    )");
+    auto r = m.run(2'000'000);
+    EXPECT_TRUE(r.halted);
+    EXPECT_TRUE(r.violations.clean());
+    EXPECT_EQ(m.stats().queues.pulse[0].pushFailed, 0u);
+    EXPECT_EQ(m.stats().queues.totalPushFailed(), 0u);
+
+    const auto &fires = m.trace().uopFires();
+    ASSERT_EQ(fires.size(), 3u);
+    EXPECT_EQ(fires[0].mask, QubitMask{0b01});
+    EXPECT_EQ(fires[1].mask, QubitMask{0b01});
+    EXPECT_EQ(fires[2].mask, QubitMask{0b10});
+    EXPECT_EQ(m.trace().pulses().size(), 3u);
+}
+
 TEST(Machine, DataCollectionAveragesAcrossRounds)
 {
     MachineConfig cfg;
