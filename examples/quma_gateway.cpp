@@ -41,6 +41,7 @@
 #include "common/metrics.hh"
 #include "net/gateway.hh"
 #include "net/metrics_endpoint.hh"
+#include "net/status_pages.hh"
 #include "net/transport.hh"
 
 namespace {
@@ -96,56 +97,6 @@ parseBackend(const std::string &spec, quma::net::GatewayBackend &out)
     if (!name.empty())
         out.name = name;
     return true;
-}
-
-std::string
-statuszJson(const quma::net::QumaGateway &gateway)
-{
-    quma::net::QumaGateway::Stats s = gateway.stats();
-    std::string json = "{\"gateway\":{";
-    auto num = [&json](const char *key, std::size_t v, bool comma) {
-        json += "\"";
-        json += key;
-        json += "\":";
-        json += std::to_string(v);
-        if (comma)
-            json += ",";
-    };
-    num("connectionsAccepted", s.connectionsAccepted, true);
-    num("connectionsActive", s.connectionsActive, true);
-    num("requestsForwarded", s.requestsForwarded, true);
-    num("resultsForwarded", s.resultsForwarded, true);
-    num("progressForwarded", s.progressForwarded, true);
-    num("errorsReturned", s.errorsReturned, true);
-    num("jobsShed", s.jobsShed, true);
-    num("jobsResubmitted", s.jobsResubmitted, true);
-    num("failovers", s.failovers, true);
-    num("inFlightHighWater", s.inFlightHighWater, true);
-    num("jobsInFlight", s.jobsInFlight, false);
-    json += "},\"backends\":[";
-    for (std::size_t i = 0; i < s.backends.size(); ++i) {
-        const auto &b = s.backends[i];
-        if (i)
-            json += ",";
-        json += "{\"name\":\"" + b.name + "\",";
-        json += std::string("\"healthy\":") +
-                (b.healthy ? "true" : "false") + ",";
-        json += std::string("\"draining\":") +
-                (b.draining ? "true" : "false") + ",";
-        json += "\"jobsRouted\":" + std::to_string(b.jobsRouted) +
-                ",";
-        json += "\"jobsResubmittedAway\":" +
-                std::to_string(b.jobsResubmittedAway);
-        if (b.haveStats) {
-            json += ",\"completed\":" +
-                    std::to_string(b.lastStats.scheduler.completed);
-            json += ",\"submitted\":" +
-                    std::to_string(b.lastStats.scheduler.submitted);
-        }
-        json += "}";
-    }
-    json += "]}\n";
-    return json;
 }
 
 } // namespace
@@ -208,24 +159,11 @@ main(int argc, char **argv)
         metricsEndpoint = std::make_unique<net::MetricsEndpoint>(
             registry, std::move(mlistener));
         metricsEndpoint->addHandler(
-            "/healthz", "application/json", [&gateway] {
-                net::QumaGateway::Stats s = gateway.stats();
-                std::size_t healthy = 0;
-                for (const auto &b : s.backends)
-                    if (b.healthy)
-                        ++healthy;
-                char buf[128];
-                std::snprintf(buf, sizeof buf,
-                              "{\"status\":\"%s\","
-                              "\"backendsHealthy\":%zu,"
-                              "\"backends\":%zu}\n",
-                              healthy > 0 ? "ok" : "degraded",
-                              healthy, s.backends.size());
-                return std::string(buf);
-            });
+            "/healthz", "application/json",
+            [&gateway] { return net::gatewayHealthzJson(gateway); });
         metricsEndpoint->addHandler(
             "/statusz", "application/json",
-            [&gateway] { return statuszJson(gateway); });
+            [&gateway] { return net::gatewayStatuszJson(gateway); });
     }
 
     net::QumaGateway::Stats boot = gateway.stats();

@@ -55,6 +55,7 @@
 #include "common/metrics.hh"
 #include "net/metrics_endpoint.hh"
 #include "net/server.hh"
+#include "net/status_pages.hh"
 #include "net/transport.hh"
 #include "runtime/service.hh"
 
@@ -183,65 +184,12 @@ main(int argc, char **argv)
         // is stopped first at shutdown).
         const bool traced = traceFile != nullptr;
         metricsEndpoint->addHandler(
-            "/healthz", "application/json",
-            [&service, traced] {
-                const runtime::RecoveryReport &rec =
-                    service.recovery();
-                char buf[256];
-                std::snprintf(
-                    buf, sizeof buf,
-                    "{\"status\":\"ok\",\"instance\":\"%s\","
-                    "\"journal\":%s,"
-                    "\"recoveredJobs\":%zu,"
-                    "\"corruptRecords\":%zu,"
-                    "\"journalCompacted\":%s,"
-                    "\"traceEnabled\":%s}\n",
-                    service.instanceName().c_str(),
-                    service.journal() ? "true" : "false",
-                    service.recoveredIds().size(),
-                    rec.corruptRecords,
-                    service.compaction().performed ? "true"
-                                                   : "false",
-                    traced ? "true" : "false");
-                return std::string(buf);
+            "/healthz", "application/json", [&service, traced] {
+                return net::serveHealthzJson(service, traced);
             });
         metricsEndpoint->addHandler(
             "/statusz", "application/json", [&service, &server] {
-                runtime::ServiceStats st = service.stats();
-                net::QumaServer::Stats sv = server.stats();
-                char buf[1024];
-                std::snprintf(
-                    buf, sizeof buf,
-                    "{\"instance\":\"%s\","
-                    "\"scheduler\":{\"submitted\":%zu,"
-                    "\"completed\":%zu,\"failed\":%zu,"
-                    "\"cancelled\":%zu,\"queueHighWater\":%zu,"
-                    "\"shardsExecuted\":%zu},"
-                    "\"pool\":{\"machinesCreated\":%zu,"
-                    "\"acquisitions\":%zu,\"reuseHits\":%zu},"
-                    "\"cache\":{\"programHits\":%zu,"
-                    "\"programMisses\":%zu},"
-                    "\"effectiveQueueCapacity\":%zu,"
-                    "\"server\":{\"connectionsAccepted\":%zu,"
-                    "\"connectionsActive\":%zu,"
-                    "\"requestsServed\":%zu,\"errorsReturned\":%zu,"
-                    "\"resultsStreamed\":%zu,"
-                    "\"progressFramesPushed\":%zu,"
-                    "\"bytesUp\":%zu,\"bytesDown\":%zu}}\n",
-                    service.instanceName().c_str(),
-                    st.scheduler.submitted, st.scheduler.completed,
-                    st.scheduler.failed, st.scheduler.cancelled,
-                    st.scheduler.queueHighWater,
-                    st.scheduler.shardsExecuted,
-                    st.pool.machinesCreated, st.pool.acquisitions,
-                    st.pool.reuseHits, st.cache.programHits,
-                    st.cache.programMisses,
-                    st.effectiveQueueCapacity,
-                    sv.connectionsAccepted, sv.connectionsActive,
-                    sv.requestsServed, sv.errorsReturned,
-                    sv.resultsStreamed, sv.progressFramesPushed,
-                    sv.link.bytesUp, sv.link.bytesDown);
-                return std::string(buf);
+                return net::serveStatuszJson(service, server);
             });
         metricsEndpoint->addHandler(
             "/tracez", "application/json", [&service] {

@@ -1,6 +1,5 @@
 #include "net/gateway.hh"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.hh"
@@ -41,58 +40,6 @@ gatewayNowNanos()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - epoch)
             .count());
-}
-
-/**
- * Fold one backend's StatsFrame into the fleet view: counters and
- * capacities SUM (fleet totals), load signals and percentiles MAX
- * (the fleet is as saturated as its worst member -- summing EWMAs
- * would manufacture load no backend reports).
- */
-void
-mergeStatsFrame(StatsFrame &acc, const StatsFrame &s)
-{
-    auto &a = acc.scheduler;
-    const auto &x = s.scheduler;
-    a.submitted += x.submitted;
-    a.rejected += x.rejected;
-    a.completed += x.completed;
-    a.failed += x.failed;
-    a.cancelled += x.cancelled;
-    a.queueHighWater += x.queueHighWater;
-    a.batchedJobs += x.batchedJobs;
-    a.shardedJobs += x.shardedJobs;
-    a.shardsExecuted += x.shardsExecuted;
-    a.saturatedRuns += x.saturatedRuns;
-    a.admissionSoftRejects += x.admissionSoftRejects;
-    a.machineSaturation =
-        std::max(a.machineSaturation, x.machineSaturation);
-    a.poolWaitEwmaSeconds =
-        std::max(a.poolWaitEwmaSeconds, x.poolWaitEwmaSeconds);
-    for (std::size_t i = 0; i < a.latency.size(); ++i) {
-        a.latency[i].count += x.latency[i].count;
-        a.latency[i].p50 = std::max(a.latency[i].p50, x.latency[i].p50);
-        a.latency[i].p95 = std::max(a.latency[i].p95, x.latency[i].p95);
-        a.latency[i].max = std::max(a.latency[i].max, x.latency[i].max);
-    }
-    auto &ap = acc.pool;
-    const auto &xp = s.pool;
-    ap.machinesCreated += xp.machinesCreated;
-    ap.acquisitions += xp.acquisitions;
-    ap.reuseHits += xp.reuseHits;
-    ap.evictions += xp.evictions;
-    ap.machineResets += xp.machineResets;
-    ap.idleMachines += xp.idleMachines;
-    ap.leasedMachines += xp.leasedMachines;
-    auto &ac = acc.cache;
-    const auto &xc = s.cache;
-    ac.programHits += xc.programHits;
-    ac.programMisses += xc.programMisses;
-    ac.programEvictions += xc.programEvictions;
-    ac.lutHits += xc.lutHits;
-    ac.lutMisses += xc.lutMisses;
-    ac.lutEvictions += xc.lutEvictions;
-    acc.effectiveQueueCapacity += s.effectiveQueueCapacity;
 }
 
 } // namespace
@@ -1277,59 +1224,19 @@ QumaGateway::bindMetrics(metrics::MetricsRegistry &registry)
     }
     // The merged fleet view: one scrape of the gateway answers the
     // capacity questions that used to need scraping every backend.
-    auto fleet = [this](auto pick) {
-        return [this, pick] {
-            return pick(fleetStats(cfg.healthInterval));
+    for (const StatsField &f : statsFields()) {
+        if (f.fleet == StatsField::Fleet::None)
+            continue;
+        auto read = [this, &f] {
+            const StatsFrame s = fleetStats(cfg.healthInterval);
+            return f.at.count ? static_cast<double>(f.at.count(s))
+                              : f.at.real(s);
         };
-    };
-    registry.counterFn(
-        "quma_fleet_jobs_submitted_total",
-        "Jobs accepted across all live backends.", {},
-        fleet([](const StatsFrame &s) {
-            return static_cast<double>(s.scheduler.submitted);
-        }));
-    registry.counterFn(
-        "quma_fleet_jobs_completed_total",
-        "Jobs completed across all live backends.", {},
-        fleet([](const StatsFrame &s) {
-            return static_cast<double>(s.scheduler.completed);
-        }));
-    registry.counterFn(
-        "quma_fleet_jobs_failed_total",
-        "Jobs failed across all live backends.", {},
-        fleet([](const StatsFrame &s) {
-            return static_cast<double>(s.scheduler.failed);
-        }));
-    registry.counterFn(
-        "quma_fleet_shards_executed_total",
-        "Shard tasks executed across all live backends.", {},
-        fleet([](const StatsFrame &s) {
-            return static_cast<double>(s.scheduler.shardsExecuted);
-        }));
-    registry.gaugeFn(
-        "quma_fleet_machine_saturation",
-        "Worst machine-saturation EWMA across the fleet.", {},
-        fleet([](const StatsFrame &s) {
-            return s.scheduler.machineSaturation;
-        }));
-    registry.gaugeFn(
-        "quma_fleet_queue_capacity",
-        "Summed effective queue capacity across the fleet.", {},
-        fleet([](const StatsFrame &s) {
-            return static_cast<double>(s.effectiveQueueCapacity);
-        }));
-    registry.counterFn(
-        "quma_fleet_pool_machines_created_total",
-        "Machines constructed across all live backends.", {},
-        fleet([](const StatsFrame &s) {
-            return static_cast<double>(s.pool.machinesCreated);
-        }));
-    registry.counterFn(
-        "quma_fleet_cache_program_hits_total",
-        "Program-cache hits across all live backends.", {},
-        fleet([](const StatsFrame &s) {
-            return static_cast<double>(s.cache.programHits);
-        }));
+        if (f.fleet == StatsField::Fleet::Counter)
+            registry.counterFn(f.family, f.help, {}, read);
+        else
+            registry.gaugeFn(f.family, f.help, {}, read);
+    }
 }
 
 } // namespace quma::net

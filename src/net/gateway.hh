@@ -54,11 +54,10 @@
  * are never shed (their backpressure is the contract).
  *
  * AGGREGATION. StatsRequests are answered locally with the merged
- * fleet view (counters summed, EWMAs max-combined), and
- * bindMetrics() exposes both the gateway's own counters
- * (quma_gateway_*) and the merged per-backend runtime stats
- * (quma_fleet_*) -- the fleet-wide metric aggregation the ROADMAP
- * called for. ClockSync is answered with the gateway's clock;
+ * fleet view (each field summed or max-combined by its row of
+ * statsFields()), and bindMetrics() exposes both the gateway's own
+ * counters (quma_gateway_*) and the merged per-backend runtime stats
+ * (quma_fleet_*, the exported rows of the same table). ClockSync is answered with the gateway's clock;
  * TraceDump returns an empty dump (per-backend traces stay on the
  * backends; see docs/fleet.md).
  */
@@ -209,9 +208,8 @@ class QumaGateway
 
     /**
      * The merged fleet view (what a client's StatsRequest gets):
-     * per-backend StatsFrames no older than `max_age` are merged --
-     * counters and capacities summed, EWMAs and percentiles
-     * max-combined. Stale backends are refreshed synchronously
+     * per-backend StatsFrames no older than `max_age`, folded by
+     * mergeStatsFrame. Stale backends are refreshed synchronously
      * through their control client; an unreachable backend
      * contributes its last known snapshot (or nothing).
      */

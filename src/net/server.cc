@@ -566,14 +566,8 @@ QumaServer::dispatchRequest(ConnState &state, const FrameHeader &header,
     }
     case MsgType::StatsRequest: {
         r.expectEnd();
-        StatsFrame stats;
-        stats.scheduler = service.scheduler().stats();
-        stats.pool = service.pool().stats();
-        stats.cache = service.cache().stats();
-        stats.effectiveQueueCapacity =
-            service.scheduler().effectiveQueueCapacity();
         Writer w;
-        encodeStatsFrame(w, stats);
+        encodeStatsFrame(w, service.stats());
         queueFrame(state, MsgType::StatsReply, rid, w);
         return true;
     }

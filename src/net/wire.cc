@@ -1,5 +1,6 @@
 #include "net/wire.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "net/transport.hh"
@@ -542,109 +543,177 @@ decodeJobResult(Reader &r)
 
 namespace {
 
-void
-encodeLatencyDigest(Writer &w,
-                    const runtime::JobScheduler::LatencyDigest &d)
+using Sched = runtime::JobScheduler::Stats;
+using Latency = runtime::JobScheduler::LatencyDigest;
+using Pool = runtime::MachinePool::Stats;
+using Cache = runtime::ProgramCache::Stats;
+using Prio = runtime::JobPriority;
+using At = StatsField::At;
+using Merge = StatsField::Merge;
+using Fleet = StatsField::Fleet;
+
+/** The At of a u64 (std::size_t) or an f64 (double) field. */
+constexpr At
+at(const char *group, const std::size_t &(*count)(const StatsFrame &))
 {
-    w.u64(d.count);
-    w.f64(d.p50);
-    w.f64(d.p95);
-    w.f64(d.max);
+    return {group, count, nullptr};
 }
 
-runtime::JobScheduler::LatencyDigest
-decodeLatencyDigest(Reader &r)
+constexpr At
+at(const char *group, const double &(*real)(const StatsFrame &))
 {
-    runtime::JobScheduler::LatencyDigest d;
-    d.count = static_cast<std::size_t>(r.u64());
-    d.p50 = r.f64();
-    d.p95 = r.f64();
-    d.max = r.f64();
-    return d;
+    return {group, nullptr, real};
+}
+
+// Member M of each part of a StatsFrame, as a table-row At.
+template <auto M>
+constexpr At sched = at("scheduler", [](const StatsFrame &f) -> auto & {
+    return f.scheduler.*M;
+});
+
+/** Indexed by JobPriority, like JobScheduler::Stats::latency. */
+constexpr const char *kLatencyGroups[] = {"latencyBatch", "latencyNormal",
+                                          "latencyHigh"};
+template <Prio P, auto M>
+constexpr At latency =
+    at(kLatencyGroups[static_cast<std::size_t>(P)],
+       [](const StatsFrame &f) -> auto & {
+           return f.scheduler.latency[static_cast<std::size_t>(P)].*M;
+       });
+
+template <auto M>
+constexpr At pool =
+    at("pool", [](const StatsFrame &f) -> auto & { return f.pool.*M; });
+
+template <auto M>
+constexpr At cache =
+    at("cache", [](const StatsFrame &f) -> auto & { return f.cache.*M; });
+
+template <auto M>
+constexpr At top = at("", [](const StatsFrame &f) -> auto & { return f.*M; });
+
+constexpr Merge Sum = Merge::Sum, Max = Merge::Max;
+constexpr Fleet Counter = Fleet::Counter, Gauge = Fleet::Gauge;
+
+/**
+ * The StatsReply payload (v3 and v4): one row per field, in wire
+ * order. Adding, dropping or moving a row changes the payload, which
+ * needs a wire-version bump (src/net/README.md).
+ */
+constexpr StatsField kStatsFields[] = {
+    {"submitted", sched<&Sched::submitted>, Sum, Counter,
+     "quma_fleet_jobs_submitted_total",
+     "Jobs accepted across all live backends."},
+    {"rejected", sched<&Sched::rejected>, Sum},
+    {"completed", sched<&Sched::completed>, Sum, Counter,
+     "quma_fleet_jobs_completed_total",
+     "Jobs completed across all live backends."},
+    {"failed", sched<&Sched::failed>, Sum, Counter,
+     "quma_fleet_jobs_failed_total",
+     "Jobs failed across all live backends."},
+    {"cancelled", sched<&Sched::cancelled>, Sum},
+    {"queueHighWater", sched<&Sched::queueHighWater>, Sum},
+    {"batchedJobs", sched<&Sched::batchedJobs>, Sum},
+    {"shardedJobs", sched<&Sched::shardedJobs>, Sum},
+    {"shardsExecuted", sched<&Sched::shardsExecuted>, Sum, Counter,
+     "quma_fleet_shards_executed_total",
+     "Shard tasks executed across all live backends."},
+    {"saturatedRuns", sched<&Sched::saturatedRuns>, Sum},
+    {"admissionSoftRejects", sched<&Sched::admissionSoftRejects>, Sum},
+    {"machineSaturation", sched<&Sched::machineSaturation>, Max, Gauge,
+     "quma_fleet_machine_saturation",
+     "Worst machine-saturation EWMA across the fleet."},
+    {"poolWaitEwmaSeconds", sched<&Sched::poolWaitEwmaSeconds>, Max},
+    {"count", latency<Prio::Batch, &Latency::count>, Sum},
+    {"p50", latency<Prio::Batch, &Latency::p50>, Max},
+    {"p95", latency<Prio::Batch, &Latency::p95>, Max},
+    {"max", latency<Prio::Batch, &Latency::max>, Max},
+    {"count", latency<Prio::Normal, &Latency::count>, Sum},
+    {"p50", latency<Prio::Normal, &Latency::p50>, Max},
+    {"p95", latency<Prio::Normal, &Latency::p95>, Max},
+    {"max", latency<Prio::Normal, &Latency::max>, Max},
+    {"count", latency<Prio::High, &Latency::count>, Sum},
+    {"p50", latency<Prio::High, &Latency::p50>, Max},
+    {"p95", latency<Prio::High, &Latency::p95>, Max},
+    {"max", latency<Prio::High, &Latency::max>, Max},
+    {"machinesCreated", pool<&Pool::machinesCreated>, Sum, Counter,
+     "quma_fleet_pool_machines_created_total",
+     "Machines constructed across all live backends."},
+    {"acquisitions", pool<&Pool::acquisitions>, Sum},
+    {"reuseHits", pool<&Pool::reuseHits>, Sum},
+    {"evictions", pool<&Pool::evictions>, Sum},
+    {"machineResets", pool<&Pool::machineResets>, Sum},
+    {"idleMachines", pool<&Pool::idleMachines>, Sum},
+    {"leasedMachines", pool<&Pool::leasedMachines>, Sum},
+    {"programHits", cache<&Cache::programHits>, Sum, Counter,
+     "quma_fleet_cache_program_hits_total",
+     "Program-cache hits across all live backends."},
+    {"programMisses", cache<&Cache::programMisses>, Sum},
+    {"programEvictions", cache<&Cache::programEvictions>, Sum},
+    {"lutHits", cache<&Cache::lutHits>, Sum},
+    {"lutMisses", cache<&Cache::lutMisses>, Sum},
+    {"lutEvictions", cache<&Cache::lutEvictions>, Sum},
+    {"effectiveQueueCapacity", top<&StatsFrame::effectiveQueueCapacity>,
+     Sum, Gauge, "quma_fleet_queue_capacity",
+     "Summed effective queue capacity across the fleet."},
+};
+
+/** Write access to a row's field in the caller's own frame. */
+template <class T>
+T &
+slot(const T &(*at)(const StatsFrame &), StatsFrame &stats)
+{
+    return const_cast<T &>(at(stats));
+}
+
+template <class T>
+void
+mergeInto(T &a, T x, Merge rule)
+{
+    a = rule == Sum ? a + x : std::max(a, x);
 }
 
 } // namespace
 
+std::span<const StatsField>
+statsFields()
+{
+    return kStatsFields;
+}
+
 void
 encodeStatsFrame(Writer &w, const StatsFrame &stats)
 {
-    const auto &s = stats.scheduler;
-    w.u64(s.submitted);
-    w.u64(s.rejected);
-    w.u64(s.completed);
-    w.u64(s.failed);
-    w.u64(s.cancelled);
-    w.u64(s.queueHighWater);
-    w.u64(s.batchedJobs);
-    w.u64(s.shardedJobs);
-    w.u64(s.shardsExecuted);
-    w.u64(s.saturatedRuns);
-    w.u64(s.admissionSoftRejects);
-    w.f64(s.machineSaturation);
-    w.f64(s.poolWaitEwmaSeconds);
-    for (const auto &d : s.latency)
-        encodeLatencyDigest(w, d);
-
-    const auto &p = stats.pool;
-    w.u64(p.machinesCreated);
-    w.u64(p.acquisitions);
-    w.u64(p.reuseHits);
-    w.u64(p.evictions);
-    w.u64(p.machineResets);
-    w.u64(p.idleMachines);
-    w.u64(p.leasedMachines);
-
-    const auto &c = stats.cache;
-    w.u64(c.programHits);
-    w.u64(c.programMisses);
-    w.u64(c.programEvictions);
-    w.u64(c.lutHits);
-    w.u64(c.lutMisses);
-    w.u64(c.lutEvictions);
-
-    w.u64(stats.effectiveQueueCapacity);
+    for (const StatsField &f : kStatsFields) {
+        if (f.at.count)
+            w.u64(f.at.count(stats));
+        else
+            w.f64(f.at.real(stats));
+    }
 }
 
 StatsFrame
 decodeStatsFrame(Reader &r)
 {
     StatsFrame stats;
-    auto &s = stats.scheduler;
-    s.submitted = static_cast<std::size_t>(r.u64());
-    s.rejected = static_cast<std::size_t>(r.u64());
-    s.completed = static_cast<std::size_t>(r.u64());
-    s.failed = static_cast<std::size_t>(r.u64());
-    s.cancelled = static_cast<std::size_t>(r.u64());
-    s.queueHighWater = static_cast<std::size_t>(r.u64());
-    s.batchedJobs = static_cast<std::size_t>(r.u64());
-    s.shardedJobs = static_cast<std::size_t>(r.u64());
-    s.shardsExecuted = static_cast<std::size_t>(r.u64());
-    s.saturatedRuns = static_cast<std::size_t>(r.u64());
-    s.admissionSoftRejects = static_cast<std::size_t>(r.u64());
-    s.machineSaturation = r.f64();
-    s.poolWaitEwmaSeconds = r.f64();
-    for (auto &d : s.latency)
-        d = decodeLatencyDigest(r);
-
-    auto &p = stats.pool;
-    p.machinesCreated = static_cast<std::size_t>(r.u64());
-    p.acquisitions = static_cast<std::size_t>(r.u64());
-    p.reuseHits = static_cast<std::size_t>(r.u64());
-    p.evictions = static_cast<std::size_t>(r.u64());
-    p.machineResets = static_cast<std::size_t>(r.u64());
-    p.idleMachines = static_cast<std::size_t>(r.u64());
-    p.leasedMachines = static_cast<std::size_t>(r.u64());
-
-    auto &c = stats.cache;
-    c.programHits = static_cast<std::size_t>(r.u64());
-    c.programMisses = static_cast<std::size_t>(r.u64());
-    c.programEvictions = static_cast<std::size_t>(r.u64());
-    c.lutHits = static_cast<std::size_t>(r.u64());
-    c.lutMisses = static_cast<std::size_t>(r.u64());
-    c.lutEvictions = static_cast<std::size_t>(r.u64());
-
-    stats.effectiveQueueCapacity = static_cast<std::size_t>(r.u64());
+    for (const StatsField &f : kStatsFields) {
+        if (f.at.count)
+            slot(f.at.count, stats) = static_cast<std::size_t>(r.u64());
+        else
+            slot(f.at.real, stats) = r.f64();
+    }
     return stats;
+}
+
+void
+mergeStatsFrame(StatsFrame &acc, const StatsFrame &s)
+{
+    for (const StatsField &f : kStatsFields) {
+        if (f.at.count)
+            mergeInto(slot(f.at.count, acc), f.at.count(s), f.merge);
+        else
+            mergeInto(slot(f.at.real, acc), f.at.real(s), f.merge);
+    }
 }
 
 // --- error ------------------------------------------------------------------

@@ -45,6 +45,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,6 +53,7 @@
 #include "runtime/job.hh"
 #include "runtime/machine_pool.hh"
 #include "runtime/scheduler.hh"
+#include "runtime/service.hh"
 #include "runtime/trace.hh"
 
 namespace quma::net {
@@ -352,15 +354,53 @@ struct ErrorFrame
     std::string message;
 };
 
-/** Stats reply payload: one snapshot of the serving runtime. */
-struct StatsFrame
+/**
+ * Stats reply payload: one snapshot of the serving runtime, as
+ * ExperimentService::stats() takes it. statsFields() says which
+ * members travel, and in what order.
+ */
+using StatsFrame = runtime::ServiceStats;
+
+/**
+ * One StatsReply field. statsFields() lists each field once, in wire
+ * order; the codec, the gateway's fleet merge, the quma_fleet_*
+ * families and the /statusz pages loop over it, so a field is added
+ * by adding one row.
+ */
+struct StatsField
 {
-    runtime::JobScheduler::Stats scheduler;
-    runtime::MachinePool::Stats pool;
-    /** Program/LUT cache counters (v3). */
-    runtime::ProgramCache::Stats cache;
-    std::size_t effectiveQueueCapacity = 0;
+    /** Fleet merge: counters and capacities sum; load signals and
+     *  percentiles take the max (summed EWMAs would invent load). */
+    enum class Merge : std::uint8_t { Sum, Max };
+    /** Type of the field's quma_fleet_* family; None = not exported. */
+    enum class Fleet : std::uint8_t { None, Counter, Gauge };
+
+    /** Where the field lives: its /statusz object ("" = top level)
+     *  and its accessor, `count` for a u64 on the wire or `real` for
+     *  an f64 (exactly one is set). */
+    struct At
+    {
+        const char *group;
+        const std::size_t &(*count)(const StatsFrame &);
+        const double &(*real)(const StatsFrame &);
+    };
+
+    /** The field's key inside its /statusz object. */
+    const char *key;
+    At at;
+    Merge merge;
+    Fleet fleet = Fleet::None;
+    /** quma_fleet_* family name and HELP text. */
+    const char *family = nullptr;
+    const char *help = nullptr;
 };
+
+/** Every StatsReply field, in wire order. */
+std::span<const StatsField> statsFields();
+
+/** Fold one backend's frame into a fleet view by each field's merge
+ *  rule (a default StatsFrame is the empty fleet). */
+void mergeStatsFrame(StatsFrame &acc, const StatsFrame &s);
 
 /**
  * Trace context a v4 client appends to every Submit/TrySubmit

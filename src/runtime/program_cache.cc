@@ -160,15 +160,4 @@ ProgramCache::bindMetrics(metrics::MetricsRegistry &registry)
         [this] { return static_cast<double>(lutCount()); });
 }
 
-void
-ProgramCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    programs.clear();
-    programOrder.clear();
-    luts.clear();
-    lutOrder.clear();
-    counters = Stats{};
-}
-
 } // namespace quma::runtime

@@ -62,7 +62,6 @@ class ProgramCache
     core::QumaMachine::LutProvider lutProvider();
 
     Stats stats() const;
-    void clear();
 
     /** Programs currently resident in the program layer. */
     std::size_t programCount() const;

@@ -4,19 +4,31 @@
  * Prometheus text-exposition invariants (name/label grammar,
  * escaping, cumulative buckets, +Inf == _count, deterministic
  * ordering), the disabled zero-cost mode, the HTTP /metrics
- * endpoint, and the metrics/trace wiring through the runtime.
+ * endpoint, the metrics/trace wiring through the runtime, the
+ * /healthz and /statusz page builders, and the metric catalogue in
+ * docs/observability.md against what the serving stack registers.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "net/client.hh"
+#include "net/gateway.hh"
 #include "net/metrics_endpoint.hh"
+#include "net/server.hh"
+#include "net/status_pages.hh"
 #include "net/transport.hh"
 #include "runtime/service.hh"
 
@@ -552,6 +564,245 @@ TEST(MetricsIntegration, DisabledRegistryBindsAsNoOps)
     service.bindMetrics(reg);
     EXPECT_FALSE(service.await(service.submit(sweepJob(1))).failed());
     EXPECT_EQ(reg.renderPrometheus(), "");
+}
+
+
+// --- introspection pages ----------------------------------------------------
+
+namespace {
+
+/** 300 characters, including each one a JSON string must escape. */
+std::string
+hostileName()
+{
+    return std::string(100, 'a') + "\"" + std::string(100, 'b') +
+           "\\" + std::string(97, 'c') + "\n";
+}
+
+/** hostileName() as the body of a JSON string, escaped by hand. */
+std::string
+hostileNameEscaped()
+{
+    return std::string(100, 'a') + "\\\"" + std::string(100, 'b') +
+           "\\\\" + std::string(97, 'c') + "\\u000a";
+}
+
+} // namespace
+
+TEST(StatusPages, ServeHealthzEscapesALongInstanceName)
+{
+    runtime::ServiceConfig sc;
+    sc.workers = 1;
+    sc.instanceName = hostileName();
+    ASSERT_EQ(sc.instanceName.size(), 300u);
+    runtime::ExperimentService service(sc);
+    EXPECT_EQ(net::serveHealthzJson(service, true),
+              "{\"status\":\"ok\",\"instance\":\"" +
+                  hostileNameEscaped() +
+                  "\",\"journal\":false,\"recoveredJobs\":0,"
+                  "\"corruptRecords\":0,\"journalCompacted\":false,"
+                  "\"traceEnabled\":true}\n");
+}
+
+TEST(StatusPages, GatewayPagesEscapeABackendName)
+{
+    net::GatewayBackend down;
+    down.name = hostileName();
+    down.connect = []() -> std::unique_ptr<net::ByteStream> {
+        throw net::WireError("backend is down");
+    };
+    std::vector<net::GatewayBackend> backends;
+    backends.push_back(std::move(down));
+    net::QumaGateway gateway(std::move(backends),
+                             std::make_unique<net::LoopbackListener>());
+    EXPECT_EQ(net::gatewayHealthzJson(gateway),
+              "{\"status\":\"degraded\",\"backendsHealthy\":0,"
+              "\"backends\":1}\n");
+    EXPECT_EQ(net::gatewayStatuszJson(gateway),
+              "{\"gateway\":{\"connectionsAccepted\":0,"
+              "\"connectionsActive\":0,\"requestsForwarded\":0,"
+              "\"resultsForwarded\":0,\"progressForwarded\":0,"
+              "\"errorsReturned\":0,\"jobsShed\":0,"
+              "\"jobsResubmitted\":0,\"failovers\":0,"
+              "\"inFlightHighWater\":0,\"jobsInFlight\":0},"
+              "\"backends\":[{\"name\":\"" +
+                  hostileNameEscaped() +
+                  "\",\"healthy\":false,\"draining\":false,"
+                  "\"jobsRouted\":0,\"jobsResubmittedAway\":0}]}\n");
+}
+
+/**
+ * /statusz carries every StatsReply field inside its group's object,
+ * and the table keeps each group's rows adjacent (a group split in
+ * two would repeat its key in the page).
+ */
+TEST(StatusPages, ServeStatuszNestsEveryStatsField)
+{
+    runtime::ServiceConfig sc;
+    sc.workers = 1;
+    sc.queueCapacity = 64;
+    runtime::ExperimentService service(sc);
+    net::QumaServer server(service,
+                           std::make_unique<net::LoopbackListener>());
+    const std::string page = net::serveStatuszJson(service, server);
+
+    std::set<std::string_view> closed;
+    std::string_view open;
+    for (const net::StatsField &f : net::statsFields()) {
+        if (f.at.group != open) {
+            if (!open.empty())
+                closed.insert(open);
+            open = f.at.group;
+            EXPECT_FALSE(closed.count(open)) << "split group " << open;
+        }
+        std::size_t at = 0;
+        if (!open.empty()) {
+            at = page.find("\"" + std::string(open) + "\":{");
+            ASSERT_NE(at, std::string::npos) << open;
+        }
+        EXPECT_NE(page.find("\"" + std::string(f.key) + "\":", at),
+                  std::string::npos)
+            << open << "." << f.key;
+    }
+    EXPECT_EQ(page.rfind("{\"instance\":\"\",\"scheduler\":{"
+                         "\"submitted\":0,",
+                         0),
+              0u)
+        << page;
+    EXPECT_NE(page.find(",\"effectiveQueueCapacity\":64,\"server\":{"
+                        "\"connectionsAccepted\":0,"),
+              std::string::npos)
+        << page;
+}
+
+// --- metric catalogue -------------------------------------------------------
+
+namespace {
+
+/** Family names from the `# TYPE` lines of one exposition render. */
+std::set<std::string>
+registeredFamilies(const std::string &exposition)
+{
+    std::set<std::string> out;
+    std::istringstream in(exposition);
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("# TYPE ", 0) == 0)
+            out.insert(line.substr(7, line.find(' ', 7) - 7));
+    return out;
+}
+
+/**
+ * The family names one documented pattern stands for: a label
+ * selector (`{direction=}`) is dropped, a brace list
+ * (`_{hits,misses}_total`) expands to one name per alternative.
+ */
+void
+expandPattern(const std::string &pattern, std::set<std::string> &out)
+{
+    const std::size_t open = pattern.find('{');
+    const std::size_t close = pattern.find('}', open);
+    if (open == std::string::npos || close == std::string::npos) {
+        out.insert(pattern);
+        return;
+    }
+    const std::string head = pattern.substr(0, open);
+    const std::string tail = pattern.substr(close + 1);
+    const std::string body = pattern.substr(open + 1, close - open - 1);
+    if (body.find('=') != std::string::npos) {
+        expandPattern(head + tail, out);
+        return;
+    }
+    std::istringstream alternatives(body);
+    std::string alt;
+    while (std::getline(alternatives, alt, ','))
+        expandPattern(head + alt + tail, out);
+}
+
+/** Families named in backticks under docs/observability.md's
+ *  "Metric catalogue" heading. */
+std::set<std::string>
+documentedFamilies()
+{
+    std::ifstream in(QUMA_DOCS_DIR "/observability.md");
+    EXPECT_TRUE(in.good()) << "cannot read the metric catalogue";
+    std::set<std::string> out;
+    bool inCatalogue = false;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("## ", 0) == 0)
+            inCatalogue = line == "## Metric catalogue";
+        if (!inCatalogue)
+            continue;
+        for (std::size_t a = line.find('`'); a != std::string::npos;) {
+            const std::size_t b = line.find('`', a + 1);
+            if (b == std::string::npos)
+                break;
+            const std::string span = line.substr(a + 1, b - a - 1);
+            if (span.rfind("quma_", 0) == 0 &&
+                span.find_first_not_of(
+                    "abcdefghijklmnopqrstuvwxyz0123456789_{},=") ==
+                    std::string::npos)
+                expandPattern(span, out);
+            a = line.find('`', b + 1);
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * The catalogue in docs/observability.md matches what the code
+ * registers, both ways: every family a fully bound serving stack
+ * (service with journal, server, client, gateway) exposes is
+ * documented, and every documented family is registered.
+ */
+TEST(MetricsCatalogue, DocsAndRegistrationsAgree)
+{
+    const std::string journalPath =
+        testing::TempDir() + "quma_catalogue_" +
+        std::to_string(::getpid()) + ".wal";
+    std::remove(journalPath.c_str());
+    metrics::MetricsRegistry reg;
+    runtime::ServiceConfig sc;
+    sc.workers = 1;
+    sc.journalPath = journalPath;
+    std::set<std::string> registered;
+    {
+        runtime::ExperimentService service(sc);
+        service.bindMetrics(reg);
+        auto listener = std::make_unique<net::LoopbackListener>();
+        net::LoopbackListener *lp = listener.get();
+        net::QumaServer server(service, std::move(listener));
+        server.bindMetrics(reg);
+
+        net::GatewayBackend backend;
+        backend.name = "be-0";
+        backend.connect = [lp] { return lp->connect(); };
+        std::vector<net::GatewayBackend> backends;
+        backends.push_back(std::move(backend));
+        auto glistener = std::make_unique<net::LoopbackListener>();
+        net::LoopbackListener *glp = glistener.get();
+        net::QumaGateway gateway(std::move(backends),
+                                 std::move(glistener));
+        gateway.bindMetrics(reg);
+
+        net::QumaClient client(glp->connect());
+        client.bindMetrics(reg);
+        EXPECT_FALSE(client.await(client.submit(sweepJob(7))).failed());
+
+        registered = registeredFamilies(reg.renderPrometheus());
+    }
+    std::remove(journalPath.c_str());
+
+    const std::set<std::string> documented = documentedFamilies();
+    for (const std::string &name : registered)
+        EXPECT_TRUE(documented.count(name))
+            << name << " is registered but not in the catalogue";
+    for (const std::string &name : documented)
+        EXPECT_TRUE(registered.count(name))
+            << name << " is in the catalogue but never registered";
 }
 
 } // namespace

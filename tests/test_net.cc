@@ -501,6 +501,165 @@ TEST(Wire, StatsFrameRoundTrip)
     EXPECT_EQ(back.effectiveQueueCapacity, 28u);
 }
 
+namespace {
+
+/**
+ * A StatsFrame whose every wire field holds its own value, scaled by
+ * `k` so two frames differ field by field. Among the reals, k=1
+ * holds the larger machineSaturation and p95s, k=3 the larger
+ * poolWaitEwmaSeconds, p50s and maxes (all exact binary fractions).
+ */
+StatsFrame
+distinctStats(std::size_t k)
+{
+    StatsFrame f;
+    auto &s = f.scheduler;
+    s.submitted = 101 * k;
+    s.rejected = 102 * k;
+    s.completed = 103 * k;
+    s.failed = 104 * k;
+    s.cancelled = 105 * k;
+    s.queueHighWater = 106 * k;
+    s.batchedJobs = 107 * k;
+    s.shardedJobs = 108 * k;
+    s.shardsExecuted = 109 * k;
+    s.saturatedRuns = 110 * k;
+    s.admissionSoftRejects = 111 * k;
+    s.machineSaturation = k == 1 ? 0.75 : 0.25;
+    s.poolWaitEwmaSeconds = k == 1 ? 0.001 : 0.004;
+    for (std::size_t c = 0; c < s.latency.size(); ++c) {
+        const double n = static_cast<double>(c + 1);
+        s.latency[c] = {(112 + c) * k, (k == 1 ? 0.25 : 0.5) * n,
+                        k == 1 ? n - 0.5 : 0.125,
+                        (k == 1 ? 1.0 : 2.0) * n};
+    }
+    auto &p = f.pool;
+    p.machinesCreated = 201 * k;
+    p.acquisitions = 202 * k;
+    p.reuseHits = 203 * k;
+    p.evictions = 204 * k;
+    p.machineResets = 205 * k;
+    p.idleMachines = 206 * k;
+    p.leasedMachines = 207 * k;
+    auto &c = f.cache;
+    c.programHits = 301 * k;
+    c.programMisses = 302 * k;
+    c.programEvictions = 303 * k;
+    c.lutHits = 304 * k;
+    c.lutMisses = 305 * k;
+    c.lutEvictions = 306 * k;
+    f.effectiveQueueCapacity = 401 * k;
+    return f;
+}
+
+} // namespace
+
+/**
+ * The StatsReply payload, byte for byte: the v4 field order written
+ * out by hand. A round trip cannot catch two fields swapped in both
+ * encode and decode; this can.
+ */
+TEST(Wire, StatsFrameLayoutIsPinned)
+{
+    const StatsFrame f = distinctStats(1);
+    Writer expected;
+    const auto &s = f.scheduler;
+    expected.u64(s.submitted);
+    expected.u64(s.rejected);
+    expected.u64(s.completed);
+    expected.u64(s.failed);
+    expected.u64(s.cancelled);
+    expected.u64(s.queueHighWater);
+    expected.u64(s.batchedJobs);
+    expected.u64(s.shardedJobs);
+    expected.u64(s.shardsExecuted);
+    expected.u64(s.saturatedRuns);
+    expected.u64(s.admissionSoftRejects);
+    expected.f64(s.machineSaturation);
+    expected.f64(s.poolWaitEwmaSeconds);
+    for (const auto &d : s.latency) {
+        expected.u64(d.count);
+        expected.f64(d.p50);
+        expected.f64(d.p95);
+        expected.f64(d.max);
+    }
+    expected.u64(f.pool.machinesCreated);
+    expected.u64(f.pool.acquisitions);
+    expected.u64(f.pool.reuseHits);
+    expected.u64(f.pool.evictions);
+    expected.u64(f.pool.machineResets);
+    expected.u64(f.pool.idleMachines);
+    expected.u64(f.pool.leasedMachines);
+    expected.u64(f.cache.programHits);
+    expected.u64(f.cache.programMisses);
+    expected.u64(f.cache.programEvictions);
+    expected.u64(f.cache.lutHits);
+    expected.u64(f.cache.lutMisses);
+    expected.u64(f.cache.lutEvictions);
+    expected.u64(f.effectiveQueueCapacity);
+    ASSERT_EQ(expected.bytes().size(), 39u * 8u);
+
+    Writer w;
+    encodeStatsFrame(w, f);
+    EXPECT_EQ(w.bytes(), expected.bytes());
+}
+
+/**
+ * The gateway's fleet merge, field by field: counters and capacities
+ * sum, EWMAs and latency percentiles take the max. Each real is
+ * larger in one frame for some fields and in the other for the rest,
+ * so a max taken as "last wins" or "first wins" fails too.
+ */
+TEST(Wire, StatsFrameMergeFollowsEachFieldsRule)
+{
+    const StatsFrame a = distinctStats(1);
+    const StatsFrame b = distinctStats(3);
+    StatsFrame m;
+    mergeStatsFrame(m, a);
+    mergeStatsFrame(m, b);
+
+    const auto &s = m.scheduler;
+    EXPECT_EQ(s.submitted, 404u);
+    EXPECT_EQ(s.rejected, 408u);
+    EXPECT_EQ(s.completed, 412u);
+    EXPECT_EQ(s.failed, 416u);
+    EXPECT_EQ(s.cancelled, 420u);
+    EXPECT_EQ(s.queueHighWater, 424u);
+    EXPECT_EQ(s.batchedJobs, 428u);
+    EXPECT_EQ(s.shardedJobs, 432u);
+    EXPECT_EQ(s.shardsExecuted, 436u);
+    EXPECT_EQ(s.saturatedRuns, 440u);
+    EXPECT_EQ(s.admissionSoftRejects, 444u);
+    EXPECT_EQ(s.machineSaturation, 0.75);
+    EXPECT_EQ(s.poolWaitEwmaSeconds, 0.004);
+    EXPECT_EQ(s.latency[0].count, 448u);
+    EXPECT_EQ(s.latency[1].count, 452u);
+    EXPECT_EQ(s.latency[2].count, 456u);
+    EXPECT_EQ(s.latency[0].p50, 0.5);
+    EXPECT_EQ(s.latency[1].p50, 1.0);
+    EXPECT_EQ(s.latency[2].p50, 1.5);
+    EXPECT_EQ(s.latency[0].p95, 0.5);
+    EXPECT_EQ(s.latency[1].p95, 1.5);
+    EXPECT_EQ(s.latency[2].p95, 2.5);
+    EXPECT_EQ(s.latency[0].max, 2.0);
+    EXPECT_EQ(s.latency[1].max, 4.0);
+    EXPECT_EQ(s.latency[2].max, 6.0);
+    EXPECT_EQ(m.pool.machinesCreated, 804u);
+    EXPECT_EQ(m.pool.acquisitions, 808u);
+    EXPECT_EQ(m.pool.reuseHits, 812u);
+    EXPECT_EQ(m.pool.evictions, 816u);
+    EXPECT_EQ(m.pool.machineResets, 820u);
+    EXPECT_EQ(m.pool.idleMachines, 824u);
+    EXPECT_EQ(m.pool.leasedMachines, 828u);
+    EXPECT_EQ(m.cache.programHits, 1204u);
+    EXPECT_EQ(m.cache.programMisses, 1208u);
+    EXPECT_EQ(m.cache.programEvictions, 1212u);
+    EXPECT_EQ(m.cache.lutHits, 1216u);
+    EXPECT_EQ(m.cache.lutMisses, 1220u);
+    EXPECT_EQ(m.cache.lutEvictions, 1224u);
+    EXPECT_EQ(m.effectiveQueueCapacity, 1604u);
+}
+
 TEST(Wire, ErrorFrameRoundTrip)
 {
     ErrorFrame e{WireErrorCode::UnknownJob, "job 7 is unknown"};
